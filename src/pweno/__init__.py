@@ -8,7 +8,6 @@ from .bench import (
     RefinementReport,
     ReportRow,
     emit_report,
-    measure_error,
     report_from_json,
     run_refinement_1d,
     run_refinement_2d,
@@ -27,23 +26,8 @@ from .grid import (
     locate_cell,
     refine_dyadic,
 )
-from .smoothness import (
-    IndicatorParams,
-    SmoothnessError,
-    SmoothnessTable,
-    build_table,
-    level_lookup,
-    smoothness_indicator,
-)
-from .stencil import (
-    Stencil1D,
-    StencilND,
-    StencilError,
-    derivative_matrix_1d,
-    lagrange_eval_1d,
-    tensor_lagrange_eval,
-)
-from .testfunctions import TEST_FUNCTIONS, TestFunction, eval_test_function, get_test_function
+from .smoothness import IndicatorParams, SmoothnessError, SmoothnessTable
+from .testfunctions import TEST_FUNCTIONS, TestFunction, get_test_function
 from .weno import (
     DiagnosticsNotCaptured,
     InterpResult,
@@ -53,17 +37,6 @@ from .weno import (
     capture_diagnostics,
     interpolate_1d,
     interpolate_nd,
-    nonlinear_pair,
-)
-from .weights import (
-    OptimalWeights,
-    WeightError,
-    WeightPair,
-    classical_optimal_general,
-    classical_optimal_midpoint,
-    midpoint_weight_pair,
-    tensor_weight,
-    weight_pair_general,
 )
 
 __version__ = "0.1.0"
@@ -82,48 +55,28 @@ __all__ = [
     "InsufficientStencilError",
     "InterpResult",
     "NevilleState",
-    "OptimalWeights",
     "OutOfDomainError",
     "RefinementReport",
     "ReportRow",
     "SmoothnessError",
     "SmoothnessTable",
-    "Stencil1D",
-    "StencilError",
-    "StencilND",
     "TEST_FUNCTIONS",
     "TensorGrid",
     "TestFunction",
-    "WeightError",
-    "WeightPair",
     "WenoError",
     "WenoParams",
     "build_perturbed_grid",
     "build_random_grid",
-    "build_table",
     "build_uniform_grid",
     "capture_diagnostics",
-    "classical_optimal_general",
-    "classical_optimal_midpoint",
-    "derivative_matrix_1d",
     "emit_report",
-    "eval_test_function",
     "get_test_function",
     "interpolate_1d",
     "interpolate_batch",
     "interpolate_nd",
-    "lagrange_eval_1d",
-    "level_lookup",
     "locate_cell",
-    "measure_error",
-    "midpoint_weight_pair",
-    "nonlinear_pair",
     "refine_dyadic",
     "report_from_json",
     "run_refinement_1d",
     "run_refinement_2d",
-    "smoothness_indicator",
-    "tensor_lagrange_eval",
-    "tensor_weight",
-    "weight_pair_general",
 ]

@@ -1,11 +1,8 @@
-"""Vectorized batch evaluation of the WENO engines.
+"""Many query points at once through the WENO engine of weno.py.
 
-Same mathematics as weno.interpolate_nd, restructured for many query points:
-queries are gathered into per-point windows, base values come from explicit
-Lagrange basis products, and indicator tables are built once per distinct
-cell (with per-axis derivative-sample caches). 1-D and 2-D are fully
-vectorized; higher dimensions fall back to a per-point loop over the scalar
-engine.
+interpolate_batch runs the same engine as interpolate_nd, for any dimension,
+on all points together: windows are gathered per point and indicator tables
+are built once per distinct cell.
 """
 from __future__ import annotations
 
@@ -13,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, InsufficientStencilError, locate_cells_1d
-from .smoothness import axis_derivative_samples
-from .weno import WenoParams, interpolate_nd
+from .grid import GridFunction
+from .weno import WenoParams, evaluate
 
 
 @dataclass
@@ -36,321 +32,19 @@ def _as_points(points, ndim: int) -> np.ndarray:
     return pts
 
 
-def _locate_and_check(gf: GridFunction, pts: np.ndarray, r: int) -> np.ndarray:
-    cells = np.empty(pts.shape, dtype=np.intp)
-    for axis in range(gf.grid.ndim):
-        nodes = gf.grid.axes[axis].nodes
-        i = locate_cells_1d(nodes, pts[:, axis])
-        if np.any(i - r < 0) or np.any(i + r - 1 > nodes.size - 1):
-            raise InsufficientStencilError(
-                f"some queries lack a full 2r window on axis {axis}"
-            )
-        cells[:, axis] = i
-    return cells
-
-
-def _axis_windows(nodes: np.ndarray, i: np.ndarray, r: int) -> np.ndarray:
-    return nodes[i[:, None] - r + np.arange(2 * r)[None, :]]
-
-
-def _lagrange_weights(Wk: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Basis weights lam[p, a] for the nodes Wk[p, :] at x[p]."""
-    npts, m1 = Wk.shape
-    diffs = x[:, None] - Wk
-    lam = np.empty((npts, m1))
-    for a in range(m1):
-        num = np.ones(npts)
-        den = np.ones(npts)
-        for b in range(m1):
-            if b == a:
-                continue
-            num *= diffs[:, b]
-            den *= Wk[:, a] - Wk[:, b]
-        lam[:, a] = num / den
-    return lam
-
-
-def _pair_keep(W: np.ndarray, x: np.ndarray, l: int, j: int) -> np.ndarray:
-    return (x - W[:, j + l + 1]) / (W[:, j] - W[:, j + l + 1])
-
-
-def _optimal_general(W: np.ndarray, x: np.ndarray, r: int) -> np.ndarray:
-    """Vectorized DP form of classical_optimal_general: (npts, r)."""
-    npts = W.shape[0]
-    acc = [np.ones(npts)]
-    for l in range(2 * r - 2, r - 1, -1):
-        nxt = [np.zeros(npts) for _ in range(len(acc) + 1)]
-        for j in range(len(acc)):
-            ck = _pair_keep(W, x, l, j)
-            nxt[j] += acc[j] * ck
-            nxt[j + 1] += acc[j] * (1.0 - ck)
-        acc = nxt
-    return np.stack(acc, axis=1)
-
-
-def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int, q: int,
-                      local_h: bool):
-    """Per distinct 1-D cell on an axis: basis-derivative samples per offset k.
-
-    Returns (unique_cells, sam[nc, r, r+1, q, r+1], wts[nc, q], h[nc, r]).
-    """
-    nodes = gf.grid.axes[axis].nodes
-    uniq = np.unique(cells)
-    nc = uniq.size
-    sam = np.empty((nc, r, r + 1, q, r + 1))
-    wts = np.empty((nc, q))
-    hs = np.empty((nc, r))
-    h_global = gf.grid.axes[axis].h_max
-    for row, i in enumerate(uniq):
-        a, b = nodes[i - 1], nodes[i]
-        for k in range(r):
-            sub = nodes[i - r + k : i - r + k + r + 1]
-            sam[row, k], wts[row] = axis_derivative_samples(sub, a, b, q)
-            hs[row, k] = float(np.diff(sub).max()) if local_h else h_global
-    return uniq, sam, wts, hs
-
-
-def _normalize(C: np.ndarray, I: np.ndarray, eps: float, t: float):
-    """alpha/sum(alpha) over the last candidate axis, linear fallback on underflow.
-
-    C and I have shape (npts, ncand)."""
-    alpha = C / (eps + I) ** t
-    s = alpha.sum(axis=1)
-    bad = ~np.isfinite(s) | (s <= 0.0)
-    safe = np.where(bad, 1.0, s)
-    omega = alpha / safe[:, None]
-    if np.any(bad):
-        omega[bad] = C[bad]
-    return omega, bad
-
-
-def _batch_1d(gf: GridFunction, pts, params: WenoParams, override) -> BatchResult:
-    r = params.r
-    nodes = gf.grid.axes[0].nodes
-    x = pts[:, 0]
-    cells = _locate_and_check(gf, pts, r)
-    i = cells[:, 0]
-    npts = x.size
-    W = _axis_windows(nodes, i, r)
-    V = gf.values[i[:, None] - r + np.arange(2 * r)[None, :]]
-    eps = params.resolve_eps(gf.grid)
-    t = params.resolve_t()
-
-    if params.method == "linear":
-        lam = _lagrange_weights(W, x)
-        vals = np.einsum("pa,pa->p", lam, V)
-        base = np.stack(
-            [
-                np.einsum("pa,pa->p", _lagrange_weights(W[:, k : k + r + 1], x),
-                          V[:, k : k + r + 1])
-                for k in range(r)
-            ],
-            axis=1,
-        )
-        return BatchResult(vals, cells, base.min(axis=1), base.max(axis=1),
-                           np.zeros(npts, dtype=bool))
-
-    base = np.stack(
-        [
-            np.einsum("pa,pa->p", _lagrange_weights(W[:, k : k + r + 1], x),
-                      V[:, k : k + r + 1])
-            for k in range(r)
-        ],
-        axis=1,
-    )
-
-    if override is not None:
-        Ipt = np.broadcast_to(np.asarray(override, dtype=np.float64), (npts, r))
-    else:
-        q = params.indicator.resolve_q(r)
-        uniq, sam, wts, hs = _axis_table_cache(gf, 0, i, r, q, params.indicator.local_h)
-        orders = np.arange(1, r + 1)
-        Tc = np.empty((uniq.size, r))
-        with np.errstate(over="ignore"):    # inf indicators trigger the fallback
-            for row, ic in enumerate(uniq):
-                for k in range(r):
-                    v = gf.values[ic - r + k : ic - r + k + r + 1]
-                    v = v - v.mean()                # constant data -> exact zero
-                    dv = sam[row, k, 1:] @ v        # (r, q): orders 1..r
-                    coeff = hs[row, k] ** (2 * orders - 1)
-                    Tc[row, k] = float(coeff @ ((dv * dv) @ wts[row]))
-        rank = np.searchsorted(uniq, i)
-        Ipt = Tc[rank]
-
-    if params.method == "classical":
-        C = _optimal_general(W, x, r)
-        omega, bad = _normalize(C, Ipt, eps, t)
-        vals = np.einsum("pk,pk->p", omega, base)
-        return BatchResult(vals, cells, base.min(axis=1), base.max(axis=1), bad)
-
-    # progressive
-    fb = np.zeros(npts, dtype=bool)
-    level = [base[:, j] for j in range(r)]
-    for l in range(r, 2 * r - 1):
-        shift = l - (r - 1)
-        nxt = []
-        for j in range(2 * r - 1 - l):
-            ck = _pair_keep(W, x, l, j)
-            C = np.stack([ck, 1.0 - ck], axis=1)
-            I = np.stack([Ipt[:, j], Ipt[:, j + shift]], axis=1)
-            omega, bad = _normalize(C, I, eps, t)
-            fb |= bad
-            nxt.append(omega[:, 0] * level[j] + omega[:, 1] * level[j + 1])
-        level = nxt
-    return BatchResult(level[0], cells, base.min(axis=1), base.max(axis=1), fb)
-
-
-def _batch_2d(gf: GridFunction, pts, params: WenoParams, override) -> BatchResult:
-    r = params.r
-    cells = _locate_and_check(gf, pts, r)
-    npts = pts.shape[0]
-    x1, x2 = pts[:, 0], pts[:, 1]
-    i1, i2 = cells[:, 0], cells[:, 1]
-    n1 = gf.grid.axes[0].nodes
-    n2 = gf.grid.axes[1].nodes
-    W1 = _axis_windows(n1, i1, r)
-    W2 = _axis_windows(n2, i2, r)
-    idx1 = i1[:, None] - r + np.arange(2 * r)[None, :]
-    idx2 = i2[:, None] - r + np.arange(2 * r)[None, :]
-    Vw = gf.values[idx1[:, :, None], idx2[:, None, :]]
-    eps = params.resolve_eps(gf.grid)
-    t = params.resolve_t()
-
-    if params.method == "linear":
-        lam1 = _lagrange_weights(W1, x1)
-        lam2 = _lagrange_weights(W2, x2)
-        vals = np.einsum("pa,pb,pab->p", lam1, lam2, Vw)
-        base = _base_2d(W1, W2, x1, x2, Vw, r)
-        flat = base.reshape(npts, -1)
-        return BatchResult(vals, cells, flat.min(axis=1), flat.max(axis=1),
-                           np.zeros(npts, dtype=bool))
-
-    base = _base_2d(W1, W2, x1, x2, Vw, r)
-
-    if override is not None:
-        Ipt = np.broadcast_to(np.asarray(override, dtype=np.float64), (npts, r, r))
-    else:
-        Ipt = _tables_2d(gf, cells, r, params)
-
-    if params.method == "classical":
-        C1 = _optimal_general(W1, x1, r)
-        C2 = _optimal_general(W2, x2, r)
-        C = np.einsum("pk,pl->pkl", C1, C2).reshape(npts, -1)
-        omega, bad = _normalize(C, Ipt.reshape(npts, -1), eps, t)
-        vals = np.einsum("pk,pk->p", omega, base.reshape(npts, -1))
-        flat = base.reshape(npts, -1)
-        return BatchResult(vals, cells, flat.min(axis=1), flat.max(axis=1), bad)
-
-    # progressive
-    fb = np.zeros(npts, dtype=bool)
-    level = {(j1, j2): base[:, j1, j2] for j1 in range(r) for j2 in range(r)}
-    vlist = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for l in range(r, 2 * r - 1):
-        shift = l - (r - 1)
-        nxt = {}
-        for j1 in range(2 * r - 1 - l):
-            ck1 = _pair_keep(W1, x1, l, j1)
-            for j2 in range(2 * r - 1 - l):
-                ck2 = _pair_keep(W2, x2, l, j2)
-                C = np.stack(
-                    [
-                        (ck1 if v1 == 0 else 1.0 - ck1) * (ck2 if v2 == 0 else 1.0 - ck2)
-                        for v1, v2 in vlist
-                    ],
-                    axis=1,
-                )
-                I = np.stack(
-                    [Ipt[:, j1 + shift * v1, j2 + shift * v2] for v1, v2 in vlist],
-                    axis=1,
-                )
-                omega, bad = _normalize(C, I, eps, t)
-                fb |= bad
-                nxt[(j1, j2)] = sum(
-                    omega[:, c] * level[(j1 + v1, j2 + v2)]
-                    for c, (v1, v2) in enumerate(vlist)
-                )
-        level = nxt
-    flat = base.reshape(npts, -1)
-    return BatchResult(level[(0, 0)], cells, flat.min(axis=1), flat.max(axis=1), fb)
-
-
-def _base_2d(W1, W2, x1, x2, Vw, r: int) -> np.ndarray:
-    npts = x1.size
-    lam1 = [_lagrange_weights(W1[:, k : k + r + 1], x1) for k in range(r)]
-    lam2 = [_lagrange_weights(W2[:, k : k + r + 1], x2) for k in range(r)]
-    base = np.empty((npts, r, r))
-    for k1 in range(r):
-        for k2 in range(r):
-            base[:, k1, k2] = np.einsum(
-                "pa,pb,pab->p",
-                lam1[k1],
-                lam2[k2],
-                Vw[:, k1 : k1 + r + 1, k2 : k2 + r + 1],
-            )
-    return base
-
-
-def _tables_2d(gf: GridFunction, cells: np.ndarray, r: int, params: WenoParams) -> np.ndarray:
-    """Indicator tables for every query point, built once per distinct cell."""
-    q = params.indicator.resolve_q(r)
-    local_h = params.indicator.local_h
-    u1, sam1, w1, h1 = _axis_table_cache(gf, 0, cells[:, 0], r, q, local_h)
-    u2, sam2, w2, h2 = _axis_table_cache(gf, 1, cells[:, 1], r, q, local_h)
-    pair = cells[:, 0] * (gf.grid.axes[1].n_cells + 1) + cells[:, 1]
-    uniq_pair, rank = np.unique(pair, return_inverse=True)
-    uc1 = uniq_pair // (gf.grid.axes[1].n_cells + 1)
-    uc2 = uniq_pair % (gf.grid.axes[1].n_cells + 1)
-    r1 = np.searchsorted(u1, uc1)
-    r2 = np.searchsorted(u2, uc2)
-    nc = uniq_pair.size
-    idx1 = uc1[:, None] - r + np.arange(2 * r)[None, :]
-    idx2 = uc2[:, None] - r + np.arange(2 * r)[None, :]
-    Vc = gf.values[idx1[:, :, None], idx2[:, None, :]]
-    powers = 2 * np.arange(r + 1) - 1
-    T = np.empty((nc, r, r))
-    with np.errstate(over="ignore"):    # inf indicators trigger the fallback
-        for k1 in range(r):
-            D1 = sam1[r1, k1]
-            c1 = h1[r1, k1][:, None] ** powers[None, :]
-            for k2 in range(r):
-                D2 = sam2[r2, k2]
-                c2 = h2[r2, k2][:, None] ** powers[None, :]
-                Vk = Vc[:, k1 : k1 + r + 1, k2 : k2 + r + 1]
-                Vk = Vk - Vk.mean(axis=(1, 2), keepdims=True)  # constant data -> exact zero
-                # contract one axis at a time; squaring first loses precision
-                U = np.einsum("cab,cnsb->cans", Vk, D2)
-                G = np.einsum("cmqa,cans->cmnqs", D1, U)
-                quad = np.einsum("cmnqs,cq,cs->cmn", G * G, w1[r1], w2[r2])
-                coeff = c1[:, :, None] * c2[:, None, :]
-                coeff[:, 0, 0] = 0.0
-                T[:, k1, k2] = np.einsum("cmn,cmn->c", coeff, quad)
-    return T[rank]
-
-
 def interpolate_batch(
     gf: GridFunction,
     points,
     params: WenoParams,
     smoothness_override: np.ndarray | None = None,
 ) -> BatchResult:
-    """Evaluate many query points at once; results match the scalar engine."""
+    """Evaluate many query points at once; each equals interpolate_nd's answer."""
     n = gf.grid.ndim
     pts = _as_points(points, n)
     if pts.shape[0] == 0:
         z = np.zeros(0)
         return BatchResult(z, np.zeros((0, n), dtype=np.intp), z.copy(), z.copy(),
                            np.zeros(0, dtype=bool))
-    if n == 1:
-        return _batch_1d(gf, pts, params, smoothness_override)
-    if n == 2:
-        return _batch_2d(gf, pts, params, smoothness_override)
-    results = [
-        interpolate_nd(gf, pts[p], params, smoothness_override=smoothness_override)
-        for p in range(pts.shape[0])
-    ]
-    values = np.array([res.value for res in results])
-    cells = np.array([res.cell.i for res in results], dtype=np.intp)
-    bmin = np.array([res.base_values.min() for res in results])
-    bmax = np.array([res.base_values.max() for res in results])
-    fb = np.array([res.linear_fallback for res in results], dtype=bool)
-    return BatchResult(values, cells, bmin, bmax, fb)
+    ev = evaluate(gf, pts, params, smoothness_override)
+    base = ev.base.reshape(pts.shape[0], -1)
+    return BatchResult(ev.values, ev.cells, base.min(axis=1), base.max(axis=1), ev.fallback)

@@ -307,6 +307,7 @@ def _to_json(report: RefinementReport) -> str:
         "grid": report.grid,
         "seed": report.seed,
         "eval_points": report.eval_points,
+        "fallback_points": report.fallback_points,
         "rows": [
             {
                 "level": row.level,
@@ -344,4 +345,5 @@ def report_from_json(path) -> RefinementReport:
         for row in obj["rows"]
     ]
     return RefinementReport(obj["method"], int(obj["r"]), obj["grid"],
-                            int(obj["seed"]), int(obj["eval_points"]), rows)
+                            int(obj["seed"]), int(obj["eval_points"]), rows,
+                            int(obj.get("fallback_points", 0)))

@@ -152,6 +152,20 @@ class CellIndex:
         object.__setattr__(self, "i", tuple(int(v) for v in self.i))
 
 
+def value_blocks(gf: GridFunction, starts: np.ndarray, width: int) -> np.ndarray:
+    """Blocks of width samples per axis: starts (m, n) -> shape (m,) + (width,)*n.
+
+    Row p is values[s_1 : s_1 + width, ..., s_n : s_n + width] for s = starts[p].
+    """
+    n = starts.shape[1]
+    offsets = np.arange(width)
+    index = tuple(
+        (starts[:, a, None] + offsets).reshape((-1,) + (1,) * a + (width,) + (1,) * (n - 1 - a))
+        for a in range(n)
+    )
+    return gf.values[index]
+
+
 def build_uniform_grid(a: float, b: float, J: int) -> Grid1D:
     """Uniform partition of [a, b] into J cells (J+1 nodes)."""
     if a >= b:
@@ -236,30 +250,38 @@ def locate_cells_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vectorized cell location along one axis (half-open convention).
 
     Returns, per query, the unique i with x in (nodes[i-1], nodes[i]];
-    x equal to nodes[0] maps to cell 1.
+    x equal to nodes[0] maps to cell 1. NaN lies in no cell.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < nodes[0]) or np.any(x > nodes[-1]):
-        raise OutOfDomainError("query outside grid domain")
+    if not np.all((x >= nodes[0]) & (x <= nodes[-1])):
+        raise OutOfDomainError("query outside grid domain (or not a number)")
     i = np.searchsorted(nodes, x, side="left")
     return np.where(i == 0, 1, i)
 
 
-def locate_cell(grid: TensorGrid, x_star, r: int | None = None) -> CellIndex:
-    """Locate the central cell of a query point; optionally check a 2r window.
+def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.ndarray:
+    """Central cells of many queries: pts has shape (npts, n), result (npts, n).
 
     With r given, raises InsufficientStencilError unless r <= i_j and
     i_j + r - 1 <= J_j on every axis.
     """
+    cells = np.empty(pts.shape, dtype=np.intp)
+    for axis, ax in enumerate(grid.axes):
+        i = locate_cells_1d(ax.nodes, pts[:, axis])
+        if r is not None:
+            short = (i - r < 0) | (i + r - 1 > ax.n_cells)
+            if short.any():
+                raise InsufficientStencilError(
+                    f"cell {i[short][0]} lacks a full {2 * r}-node window on axis {axis} "
+                    f"(axis has {ax.n_cells} cells)"
+                )
+        cells[:, axis] = i
+    return cells
+
+
+def locate_cell(grid: TensorGrid, x_star, r: int | None = None) -> CellIndex:
+    """Locate the central cell of one query point; optionally check a 2r window."""
     x_star = np.atleast_1d(np.asarray(x_star, dtype=np.float64))
     if x_star.size != grid.ndim:
         raise GridError(f"query has {x_star.size} coordinates, grid has {grid.ndim} axes")
-    idx = []
-    for ax, xj in zip(grid.axes, x_star):
-        i = int(locate_cells_1d(ax.nodes, np.array([xj]))[0])
-        if r is not None and (i - r < 0 or i + r - 1 > ax.n_cells):
-            raise InsufficientStencilError(
-                f"cell {i} lacks a full {2 * r}-node window (axis has {ax.n_cells} cells)"
-            )
-        idx.append(i)
-    return CellIndex(tuple(idx))
+    return CellIndex(tuple(locate_cells(grid, x_star[None, :], r)[0]))

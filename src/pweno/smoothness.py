@@ -10,8 +10,8 @@ and squaring the result at tensor Gauss-Legendre points (exact: the
 integrands are polynomials of per-axis degree <= 2r). Derivatives are applied
 to the samples before squaring; folding the squares into Gram matrices first
 loses the indicator to cancellation when sub-stencil nodes cluster.
-Indicators are computed once per cell at level r; higher recursion levels
-reuse them through level_lookup.
+Indicators are computed once per distinct cell at level r, for many cells in
+one call; higher recursion levels reuse them by index shifts.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import CellIndex, GridFunction
+from .grid import CellIndex, GridFunction, value_blocks
 from .stencil import StencilND, basis_derivative_matrix, resolve_stencil
 
 
@@ -83,113 +83,132 @@ def axis_derivative_samples(stencil_nodes, a: float, b: float, q: int):
     return sam, wts
 
 
-def _indicator_value(block: np.ndarray, sams, wts, hs, r: int) -> float:
-    """Sum over multi-indices l in {0..r}^n \\ {0} of the weighted square terms."""
-    n = block.ndim
-    # every term differentiates at least once, so any constant shift is inert;
-    # centering makes constant data give exactly zero
-    block = block - block.mean()
-    total = 0.0
-    with np.errstate(over="ignore"):    # inf indicators trigger the fallback
-        for l in product(range(r + 1), repeat=n):
-            if not any(l):
-                continue
-            T = block
-            coeff = 1.0
-            for axis, m in enumerate(l):
-                T = np.moveaxis(np.tensordot(sams[axis][m], T, axes=(1, axis)), 0, axis)
-                coeff *= hs[axis] ** (2 * m - 1)
-            sq = T * T
-            for w in reversed(wts):
-                sq = sq @ w
-            total += coeff * float(sq)
-    return float(total)
-
-
 def _axis_h(gf: GridFunction, axis: int, nodes: np.ndarray, local_h: bool) -> float:
     if local_h:
         return float(np.diff(nodes).max())
     return gf.grid.axes[axis].h_max
 
 
+def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int, q: int,
+                      local_h: bool):
+    """Per distinct 1-D cell on an axis: basis-derivative samples per offset k.
+
+    Returns (sam[nc, r, r+1, q, r+1], wts[nc, q], h[nc, r]) for the nc
+    distinct cells given.
+    """
+    nodes = gf.grid.axes[axis].nodes
+    nc = cells.size
+    sam = np.empty((nc, r, r + 1, q, r + 1))
+    wts = np.empty((nc, q))
+    hs = np.empty((nc, r))
+    for row, i in enumerate(cells):
+        a, b = nodes[i - 1], nodes[i]
+        for k in range(r):
+            sub = nodes[i - r + k : i + k + 1]
+            sam[row, k], wts[row] = axis_derivative_samples(sub, a, b, q)
+            hs[row, k] = _axis_h(gf, axis, sub, local_h)
+    return sam, wts, hs
+
+
+def _indicator_values(block: np.ndarray, sams, wts, hs) -> np.ndarray:
+    """Indicators of many sub-stencil interpolants, one per row c.
+
+    block has shape (c, m, ..., m) with m samples per axis; per axis,
+    sams[axis] (c, m, q, m) holds the basis-derivative samples of orders
+    0..m-1, wts[axis] (c, q) the quadrature weights and hs[axis] (c,) the
+    mesh width. The derivative orders of the leading axes are walked one
+    branch at a time, so the leading axes' work is shared between terms;
+    the last axis takes all its orders at once. Every term is squared only
+    after all its derivatives are applied.
+    """
+    c, n, m = block.shape[0], block.ndim - 1, block.shape[-1]
+    # every term differentiates at least once, so any constant shift is inert;
+    # centering makes constant data give exactly zero
+    block = block - block.mean(axis=tuple(range(1, n + 1)), keepdims=True)
+    quads = [np.ones((c, 1))]       # tensor quadrature weights of the leading axes
+    for w in wts[:-1]:
+        quads.append((quads[-1][:, :, None] * w[:, None, :]).reshape(c, -1))
+    powers = 2 * np.arange(m) - 1
+    total = np.zeros(c)
+    # depth first over the orders of the leading axes; an entry holds T of
+    # shape (c, quadrature points of axes < axis, samples of axes >= axis)
+    stack = [(block.reshape(c, 1, -1), 0, np.ones(c), False)]
+    with np.errstate(over="ignore"):    # inf indicators trigger the fallback
+        while stack:
+            T, axis, coeff, differentiated = stack.pop()
+            T = T.reshape(c, T.shape[1], m, T.shape[2] // m)
+            if axis < n - 1:
+                for order in range(m):
+                    G = sams[axis][:, None, order] @ T
+                    stack.append((G.reshape(c, -1, T.shape[-1]), axis + 1,
+                                  coeff * hs[axis] ** powers[order], differentiated or order > 0))
+                continue
+            G = (sams[axis].reshape(c, 1, -1, m) @ T).reshape(c, T.shape[1], m, -1)
+            sq = ((G * G) @ wts[axis][:, None, :, None])[..., 0]       # (c, Q, orders)
+            per_order = np.einsum("cQm,cQ->cm", sq, quads[axis]) * hs[axis][:, None] ** powers
+            if not differentiated:
+                per_order[:, 0] = 0.0
+            total += coeff * per_order.sum(axis=1)
+    return total
+
+
+def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int,
+                     params: IndicatorParams) -> np.ndarray:
+    """Indicator tables for many cells, each built once per distinct cell.
+
+    cells has shape (npts, n) and must have full 2r windows; the result has
+    shape (npts,) + (r,)*n, entry k the indicator of base sub-stencil k.
+    """
+    n = gf.grid.ndim
+    q = params.resolve_q(r)
+    flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
+    uniq, inverse = np.unique(flat, return_inverse=True)
+    distinct = np.stack(np.unravel_index(uniq, gf.grid.shape), axis=1)
+    caches, rows = [], []
+    for a in range(n):
+        axis_cells, row = np.unique(distinct[:, a], return_inverse=True)
+        caches.append(_axis_table_cache(gf, a, axis_cells, r, q, params.local_h))
+        rows.append(row.ravel())
+    wts = [w[row] for (_, w, _), row in zip(caches, rows)]
+    tables = np.empty((uniq.size,) + (r,) * n)
+    for k in product(range(r), repeat=n):
+        block = value_blocks(gf, distinct - r + np.array(k), r + 1)
+        sams = [sam[row, ka] for (sam, _, _), row, ka in zip(caches, rows, k)]
+        hs = [h[row, ka] for (_, _, h), row, ka in zip(caches, rows, k)]
+        tables[(slice(None),) + k] = _indicator_values(block, sams, wts, hs)
+    return tables[inverse.ravel()]
+
+
+def cell_bounds(gf: GridFunction, cell: CellIndex) -> tuple[tuple[float, float], ...]:
+    return tuple((float(ax.nodes[i - 1]), float(ax.nodes[i]))
+                 for ax, i in zip(gf.grid.axes, cell.i))
+
+
 def smoothness_indicator(
     gf: GridFunction, stencil: StencilND, cell: CellIndex, params: IndicatorParams
 ) -> float:
     """Indicator of one sub-stencil interpolant over the central cell."""
-    n = gf.grid.ndim
     r = stencil.axes[0].r
     if any(st.m != st.r or st.r != r for st in stencil.axes):
         raise SmoothnessError("sub-stencil width must be r+1 on every axis")
     q = params.resolve_q(r)
     node_lists, block = resolve_stencil(gf, stencil)
-    sams = []
-    wts = []
-    hs = []
-    for axis in range(n):
-        i = cell.i[axis]
-        ax_nodes = gf.grid.axes[axis].nodes
-        a, b = ax_nodes[i - 1], ax_nodes[i]
-        S, w = axis_derivative_samples(node_lists[axis], a, b, q)
-        sams.append(S)
-        wts.append(w)
-        hs.append(_axis_h(gf, axis, node_lists[axis], params.local_h))
-    return _indicator_value(block, sams, wts, hs, r)
+    sams, wts, hs = [], [], []
+    for axis, ((a, b), nodes) in enumerate(zip(cell_bounds(gf, cell), node_lists)):
+        S, w = axis_derivative_samples(nodes, a, b, q)
+        sams.append(S[None])
+        wts.append(w[None])
+        hs.append(np.array([_axis_h(gf, axis, nodes, params.local_h)]))
+    return float(_indicator_values(block[None], sams, wts, hs)[0])
 
 
 def build_table(
     gf: GridFunction, cell: CellIndex, r: int, params: IndicatorParams
 ) -> SmoothnessTable:
     """Indicators for all r^n base sub-stencils around a cell."""
-    n = gf.grid.ndim
-    q = params.resolve_q(r)
-    per_axis: list[list[tuple[np.ndarray, float]]] = []
-    wts = []
-    bounds = []
-    blocks_index = []
-    for axis in range(n):
-        i = cell.i[axis]
-        ax_nodes = gf.grid.axes[axis].nodes
-        if i - r < 0 or i + r - 1 > ax_nodes.size - 1:
+    for i, ax in zip(cell.i, gf.grid.axes):
+        if i - r < 0 or i + r - 1 > ax.n_cells:
             raise SmoothnessError("full 2r window unavailable around the cell")
-        a, b = ax_nodes[i - 1], ax_nodes[i]
-        bounds.append((float(a), float(b)))
-        mats = []
-        w = None
-        for k in range(r):
-            sub = ax_nodes[i - r + k : i - r + k + r + 1]
-            S, w = axis_derivative_samples(sub, a, b, q)
-            mats.append((S, _axis_h(gf, axis, sub, params.local_h)))
-        per_axis.append(mats)
-        wts.append(w)
-        blocks_index.append(i)
-    entries = np.empty((r,) * n)
-    for k in product(range(r), repeat=n):
-        slices = tuple(
-            slice(blocks_index[axis] - r + k[axis], blocks_index[axis] - r + k[axis] + r + 1)
-            for axis in range(n)
-        )
-        block = gf.values[slices]
-        sams = [per_axis[axis][k[axis]][0] for axis in range(n)]
-        hs = [per_axis[axis][k[axis]][1] for axis in range(n)]
-        entries[k] = _indicator_value(block, sams, wts, hs, r)
-    return SmoothnessTable(r=r, ndim=n, entries=entries, cell_bounds=tuple(bounds))
-
-
-def level_lookup(table: SmoothnessTable, l: int, k, v) -> float:
-    """Level-l indicator: I^l_{k,k+v} = I^r_{k + (l-(r-1))*v}."""
-    r = table.r
-    k = tuple(int(c) for c in np.atleast_1d(k))
-    v = tuple(int(c) for c in np.atleast_1d(v))
-    if len(k) != table.ndim or len(v) != table.ndim:
-        raise SmoothnessError("k and v must have one component per axis")
-    if not r <= l <= 2 * r - 2:
-        raise SmoothnessError(f"level l={l} out of range [{r}, {2 * r - 2}]")
-    shift = l - (r - 1)
-    idx = []
-    for kj, vj in zip(k, v):
-        if not 0 <= kj <= 2 * r - 2 - l:
-            raise SmoothnessError(f"k component {kj} out of range at level {l}")
-        if vj not in (0, 1):
-            raise SmoothnessError("v components must be 0 or 1")
-        idx.append(kj + shift * vj)
-    return float(table.entries[tuple(idx)])
+    entries = indicator_tables(gf, np.array([cell.i]), r, params)[0]
+    return SmoothnessTable(r=r, ndim=gf.grid.ndim, entries=entries,
+                           cell_bounds=cell_bounds(gf, cell))

@@ -1,9 +1,9 @@
-"""Sub-stencil Lagrange interpolants and their derivative matrices.
+"""Sub-stencils and the derivative matrices of their Lagrange bases.
 
 A window holds the 2r nodes per axis centered on the query cell. A sub-stencil
 of width m+1 starts at offset k inside the window (nodes w[k] .. w[k+m]).
-Evaluation uses Neville's recurrence; derivative matrices come from the
-Newton form of the Lagrange basis, differentiated coefficient-wise.
+Derivative matrices come from the Newton form of the Lagrange basis,
+differentiated coefficient-wise.
 """
 from __future__ import annotations
 
@@ -61,33 +61,6 @@ class StencilND:
             raise StencilError("need at least one axis")
 
 
-def _neville_last_axis(nodes: np.ndarray, values: np.ndarray, x: float) -> np.ndarray:
-    """Collapse the last axis of values by Neville's recurrence at x."""
-    n = nodes.size
-    T = [np.asarray(values[..., j], dtype=np.float64) for j in range(n)]
-    for m in range(1, n):
-        for j in range(n - m):
-            denom = nodes[j] - nodes[j + m]
-            T[j] = ((x - nodes[j + m]) * T[j] - (x - nodes[j]) * T[j + 1]) / denom
-    return T[0]
-
-
-def lagrange_eval_1d(nodes, values, x_star: float) -> float:
-    """Value at x_star of the polynomial interpolating (nodes, values).
-
-    Computed by Neville's recurrence. Extrapolation is permitted.
-    """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if nodes.ndim != 1 or nodes.shape != values.shape:
-        raise StencilError("nodes and values must be 1-D and of equal length >= 1")
-    if nodes.size < 1:
-        raise StencilError("need at least one node")
-    if np.unique(nodes).size != nodes.size:
-        raise StencilError("duplicate interpolation nodes")
-    return float(_neville_last_axis(nodes, values, float(x_star)))
-
-
 def resolve_stencil(gf: GridFunction, stencil: StencilND):
     """Per-axis node arrays and the value block selected by a StencilND."""
     if len(stencil.axes) != gf.grid.ndim:
@@ -104,22 +77,6 @@ def resolve_stencil(gf: GridFunction, stencil: StencilND):
         node_lists.append(ax.nodes[st.start : st.stop])
         slices.append(slice(st.start, st.stop))
     return node_lists, gf.values[tuple(slices)]
-
-
-def tensor_lagrange_eval(gf: GridFunction, stencil: StencilND, x_star) -> float:
-    """Tensor-product Lagrange interpolant of gf on a stencil, at x_star.
-
-    Axes are collapsed one at a time (last axis first); equivalent to the flat
-    product-basis sum but O((m+1)^n) instead of O((m+1)^{2n}).
-    """
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=np.float64))
-    node_lists, block = resolve_stencil(gf, stencil)
-    if x_star.size != len(node_lists):
-        raise StencilError("query dimension does not match stencil")
-    out = block
-    for axis in range(len(node_lists) - 1, -1, -1):
-        out = _neville_last_axis(node_lists[axis], out, float(x_star[axis]))
-    return float(out)
 
 
 def _newton_coefficients(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -182,12 +139,3 @@ def basis_derivative_matrix(nodes, order: int, points) -> np.ndarray:
     for row in mono[::-1]:
         out = out * u[:, None] + row[None, :]
     return out / scale**order
-
-
-def derivative_matrix_1d(nodes, order: int, quad_points) -> np.ndarray:
-    """Derivative matrix of the Lagrange basis: (D @ samples) evaluates the
-    order-th derivative of the interpolant at the quadrature points."""
-    n = np.asarray(nodes).size
-    if order < 1 or order > n - 1:
-        raise StencilError(f"derivative order must be in 1..{n - 1}, got {order}")
-    return basis_derivative_matrix(nodes, order, quad_points)

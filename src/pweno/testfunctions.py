@@ -11,8 +11,6 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import OutOfDomainError
-
 _PI6 = np.pi / 6.0
 
 # ascending coefficients of the two f1 branches
@@ -88,16 +86,3 @@ def get_test_function(name: str) -> TestFunction:
         return TEST_FUNCTIONS[name]
     except KeyError:
         raise ValueError(f"unknown test function {name!r}") from None
-
-
-def eval_test_function(tf: TestFunction, point) -> float:
-    """Evaluate one point, validating it lies in the stated domain."""
-    pt = np.atleast_1d(np.asarray(point, dtype=np.float64))
-    if pt.shape != (tf.ndim,):
-        raise ValueError(f"{tf.name} expects {tf.ndim} coordinates")
-    for axis, (a, b) in enumerate(tf.domain):
-        if not (a <= pt[axis] <= b):
-            raise OutOfDomainError(
-                f"coordinate {pt[axis]} outside [{a}, {b}] on axis {axis}"
-            )
-    return float(tf.fn(*pt))

@@ -3,12 +3,13 @@
 All formulas act on a window of 2r nodes per axis, w[0] .. w[2r-1], holding
 the central cell (w[r-1], w[r]]. Level l runs from r to 2r-2: a level-(l+1)
 interpolant on nodes w[j] .. w[j+l+1] is the affine pair combination of the
-two level-l interpolants on w[j] .. w[j+l] and w[j+1] .. w[j+l+1].
+two level-l interpolants on w[j] .. w[j+l] and w[j+1] .. w[j+l+1]. The same
+pair formula at levels 0..r-1 is Neville's recurrence for the base
+interpolants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -37,6 +38,12 @@ class OptimalWeights:
         object.__setattr__(self, "c", c)
 
 
+def _check_window(w: np.ndarray) -> int:
+    if w.ndim < 1 or w.shape[-1] < 2 or w.shape[-1] % 2 != 0:
+        raise WeightError("window must hold 2r nodes")
+    return w.shape[-1] // 2
+
+
 def _check_level(r: int, l: int, j: int) -> None:
     if not r <= l <= 2 * r - 2:
         raise WeightError(f"level l={l} out of range [{r}, {2 * r - 2}]")
@@ -44,62 +51,45 @@ def _check_level(r: int, l: int, j: int) -> None:
         raise WeightError(f"index j={j} out of range [0, {2 * r - 2 - l}] at level {l}")
 
 
+def pair_keep(windows: np.ndarray, x: np.ndarray, l: int, j: np.ndarray) -> np.ndarray:
+    """Left pair weights c_keep = (x - w[j+l+1]) / (w[j] - w[j+l+1]).
+
+    windows has shape (..., 2r) and x shape (...); j is an integer array of
+    pair indices. Returns shape (..., j.size). No range checks.
+    """
+    x = np.asarray(x, dtype=np.float64)[..., None]
+    right = windows[..., j + l + 1]
+    return (x - right) / (windows[..., j] - right)
+
+
 def weight_pair_general(window_nodes, l: int, j: int, x_star: float) -> WeightPair:
-    """Pair weights on an arbitrary grid.
+    """Pair weights on an arbitrary grid; both are in (0, 1) for x* inside
+    the central cell."""
+    w = np.asarray(window_nodes, dtype=np.float64)
+    if w.ndim != 1:
+        raise WeightError("window must hold 2r nodes")
+    _check_level(_check_window(w), l, j)
+    c_keep = float(pair_keep(w, x_star, l, np.array([j]))[0])
+    return WeightPair(c_keep, 1.0 - c_keep)
 
-    c_keep = (x* - w[j+l+1]) / (w[j] - w[j+l+1]); both weights are in (0, 1)
-    for x* inside the central cell.
+
+def classical_optimal_general(window_nodes, x_star) -> OptimalWeights:
+    """Optimal weights of the r base sub-stencils at arbitrary points.
+
+    window_nodes has shape (..., 2r) and x_star shape (...); the weights
+    have shape (..., r). Accumulates the affine pair weights down the
+    Neville triangle by dynamic programming (top entry has weight 1); the
+    result makes the convex combination of the base interpolants equal the
+    full 2r-node interpolant.
     """
     w = np.asarray(window_nodes, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2 or w.size % 2 != 0:
-        raise WeightError("window must hold 2r nodes")
-    r = w.size // 2
-    _check_level(r, l, j)
-    c_keep = (x_star - w[j + l + 1]) / (w[j] - w[j + l + 1])
-    return WeightPair(float(c_keep), float(1.0 - c_keep))
-
-
-def midpoint_weight_pair(r: int, l: int, k: int) -> WeightPair:
-    """Closed-form pair weights for uniform spacing at the cell midpoint."""
-    _check_level(r, l, k)
-    c_keep = (2 * (l - r + k + 1) + 1) / (2 * (l + 1))
-    return WeightPair(float(c_keep), float(1.0 - c_keep))
-
-
-def classical_optimal_midpoint(r: int) -> OptimalWeights:
-    """C^r_k = binom(2r, 2k+1) / 2^(2r-1), k = 0..r-1."""
-    if r < 1:
-        raise WeightError(f"need r >= 1, got {r}")
-    c = np.array([comb(2 * r, 2 * k + 1) for k in range(r)], dtype=np.float64)
-    return OptimalWeights(c / 2.0 ** (2 * r - 1))
-
-
-def classical_optimal_general(window_nodes, x_star: float) -> OptimalWeights:
-    """Optimal weights of the r base sub-stencils at an arbitrary point.
-
-    Accumulates the affine pair weights down the Neville triangle by dynamic
-    programming (top entry has weight 1); the result makes the convex
-    combination of the base interpolants equal the full 2r-node interpolant.
-    """
-    w = np.asarray(window_nodes, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2 or w.size % 2 != 0:
-        raise WeightError("window must hold 2r nodes")
-    r = w.size // 2
-    acc = np.array([1.0])
+    r = _check_window(w)
+    acc = np.ones(w.shape[:-1] + (1,))
     for l in range(2 * r - 2, r - 1, -1):
         # distribute level-(l+1) weights onto level-l entries
-        nxt = np.zeros(acc.size + 1)
-        for j in range(acc.size):
-            pair = weight_pair_general(w, l, j, x_star)
-            nxt[j] += acc[j] * pair.c_keep
-            nxt[j + 1] += acc[j] * pair.c_shift
+        keep = pair_keep(w, x_star, l, np.arange(acc.shape[-1]))
+        nxt = np.zeros(w.shape[:-1] + (acc.shape[-1] + 1,))
+        nxt[..., :-1] += acc * keep
+        nxt[..., 1:] += acc * (1.0 - keep)
         acc = nxt
     return OptimalWeights(acc)
-
-
-def tensor_weight(per_axis) -> float:
-    """Product of per-axis scalar weights."""
-    out = 1.0
-    for w in per_axis:
-        out *= float(w)
-    return out

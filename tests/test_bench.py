@@ -219,10 +219,12 @@ class TestReportFormats:
     def test_json_file_round_trip_preserves_report(self, tmp_path):
         cfg = Bench1DConfig("f1", r=2, level_min=5, level_max=6, eval_points=900)
         rep = run_refinement_1d(cfg)
+        rep.fallback_points = 17   # equality ignores it, so check it apart
         path = tmp_path / "report.json"
         emit_report(rep, "json", path)
         back = report_from_json(path)
         assert back == rep
+        assert back.fallback_points == 17
 
     def test_nan_error_is_null_in_json(self):
         obj = json.loads(report_to_text(self.small_report(), "json"))

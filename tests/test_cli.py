@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output files, report wiring."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from pweno.cli import main
 
 CSV_HEADER = "level,region,error,order,method,r,grid,seed"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_linear_data(tmp_path, J=16):
@@ -150,6 +153,17 @@ class TestInterp:
                      "--query", str(query)]) == 2
         capsys.readouterr()
 
+    def test_eps_overflow_exits_2(self, tmp_path, capsys):
+        # h^2 overflows on a grid spanning [0, 1e202]: a message, not a traceback
+        nodes = np.linspace(0.0, 1e202, 17)
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"axes": [nodes.tolist()],
+                                    "values": np.sin(np.arange(17.0)).tolist()}),
+                        encoding="utf-8")
+        query = write_query(tmp_path, [0.5e202])
+        assert main(["interp", "--data", str(data), "--query", str(query)]) == 2
+        assert "mesh width" in capsys.readouterr().err
+
     def test_out_of_window_query_exits_2(self, tmp_path, capsys):
         data = write_linear_data(tmp_path)
         query = write_query(tmp_path, [0.01])
@@ -159,10 +173,12 @@ class TestInterp:
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "report.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pweno.cli", "bench1d", "--function", "f1",
          "--levels", "5..5", "--eval-points", "900", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)

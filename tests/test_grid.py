@@ -156,6 +156,11 @@ class TestLocate:
             locate_cells_1d(nodes, np.array([-0.1]))
         with pytest.raises(OutOfDomainError):
             locate_cells_1d(nodes, np.array([1.1]))
+        # NaN fails every comparison, so it must be rejected explicitly
+        with pytest.raises(OutOfDomainError):
+            locate_cells_1d(nodes, np.array([0.5, np.nan]))
+        with pytest.raises(OutOfDomainError):
+            locate_cell(TensorGrid((build_uniform_grid(0.0, 1.0, 4),)), np.nan)
 
     def test_locate_cell_nd(self):
         gx = build_uniform_grid(0.0, 1.0, 10)

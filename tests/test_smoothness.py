@@ -16,10 +16,10 @@ from pweno.smoothness import (
     SmoothnessTable,
     build_table,
     cell_quadrature,
-    level_lookup,
     smoothness_indicator,
 )
 from pweno.stencil import Stencil1D, StencilND
+from reference import level_lookup
 
 PARAMS = IndicatorParams()
 

@@ -4,15 +4,17 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pweno.stencil import lagrange_eval_1d
 from pweno.weights import (
     OptimalWeights,
     WeightError,
     classical_optimal_general,
+    weight_pair_general,
+)
+from reference import (
     classical_optimal_midpoint,
+    lagrange_eval_1d,
     midpoint_weight_pair,
     tensor_weight,
-    weight_pair_general,
 )
 
 

@@ -2,11 +2,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pweno.batch import interpolate_batch
 from pweno.grid import (
+    Grid1D,
     GridFunction,
     InsufficientStencilError,
+    OutOfDomainError,
     TensorGrid,
     build_random_grid,
     build_uniform_grid,
@@ -21,6 +25,9 @@ from pweno.weno import (
     interpolate_nd,
     nonlinear_pair,
 )
+from reference import reference_interpolate
+
+METHODS = ("progressive", "classical", "linear")
 
 
 def random_gf(ndim, J, seed, fn=None):
@@ -88,6 +95,16 @@ class TestNonlinearPair:
         assert fb
         np.testing.assert_array_equal(w, [0.3, 0.7])
 
+    def test_rows_are_independent_sets(self):
+        C = np.array([[0.5, 0.5], [0.3, 0.7], [0.2, 0.8]])
+        I = np.array([[0.0, 10.0], [np.inf, np.inf], [1.0, 2.0]])
+        w, fb = nonlinear_pair(C, I, eps=1e-6, t=2.0)
+        np.testing.assert_array_equal(fb, [False, True, False])
+        for row in range(3):
+            w_row, fb_row = nonlinear_pair(C[row], I[row], eps=1e-6, t=2.0)
+            np.testing.assert_array_equal(w[row], w_row)
+            assert fb[row] == fb_row
+
 
 class TestParams:
     def test_validation(self):
@@ -101,6 +118,15 @@ class TestParams:
             WenoParams(r=3, epsilon_rule=-1e-6)
         with pytest.raises(WenoError):
             WenoParams(r=3, t=0.0)
+        for r in (3.5, 3.0, True, "3"):
+            with pytest.raises(WenoError):
+                WenoParams(r=r)
+        for bad in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(WenoError):
+                WenoParams(r=3, epsilon_rule=bad)
+            with pytest.raises(WenoError):
+                WenoParams(r=3, t=bad)
+        assert WenoParams(r=np.int64(3), epsilon_rule=1, t=np.float64(2.0)).r == 3
 
     def test_defaults(self):
         p = WenoParams(r=3)
@@ -314,25 +340,43 @@ class TestFallback:
         assert not res.linear_fallback
 
 
-class TestBatchEngine:
-    def scalar_values(self, gf, pts, params, override=None):
-        return np.array([
-            interpolate_nd(gf, p, params, smoothness_override=override).value
-            for p in np.atleast_2d(pts)
-        ])
+def full_window_points(gf, r, npts, rng):
+    """Random points in cells whose 2r window lies inside the grid."""
+    cols = []
+    for ax in gf.grid.axes:
+        i = rng.integers(r, ax.n_cells - r + 2, npts)
+        cols.append(ax.nodes[i - 1] + rng.uniform(0.0, 1.0, npts) * (ax.nodes[i] - ax.nodes[i - 1]))
+    return np.stack(cols, axis=1)
 
+
+def assert_both_match_reference(gf, pts, params, override=None):
+    """interpolate_batch and interpolate_nd both equal the scalar reference."""
+    want = [reference_interpolate(gf, p, params, smoothness_override=override)
+            for p in pts]
+    batch = interpolate_batch(gf, pts, params, smoothness_override=override)
+    single = [interpolate_nd(gf, p, params, smoothness_override=override) for p in pts]
+    expect = np.array([w.value for w in want])
+    np.testing.assert_allclose(batch.values, expect, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose([s.value for s in single], expect, rtol=1e-10, atol=1e-12)
+    np.testing.assert_array_equal(batch.cells, [w.cell.i for w in want])
+    np.testing.assert_array_equal([s.cell.i for s in single], [w.cell.i for w in want])
+    np.testing.assert_array_equal(batch.fallback, [w.linear_fallback for w in want])
+    for s, w in zip(single, want):
+        np.testing.assert_allclose(s.base_values, w.base_values, rtol=1e-10, atol=1e-12)
+        assert s.linear_fallback == w.linear_fallback
+    return batch
+
+
+class TestBatchEngine:
     def test_matches_scalar_1d(self):
         for seed, fn in ((1, None), (2, lambda x: np.sin(3 * x)),
                          (3, lambda x: (x >= 0.52).astype(float))):
             gf = random_gf(1, 20, seed=seed, fn=fn)
             nodes = gf.grid.axes[0].nodes
             rng = np.random.default_rng(seed)
-            pts = rng.uniform(nodes[3], nodes[-4], 100)
-            for method in ("progressive", "classical", "linear"):
-                params = WenoParams(r=3, method=method)
-                got = interpolate_batch(gf, pts, params)
-                want = self.scalar_values(gf, pts[:, None], params)
-                np.testing.assert_allclose(got.values, want, rtol=1e-10, atol=1e-12)
+            pts = rng.uniform(nodes[3], nodes[-4], 100)[:, None]
+            for method in METHODS:
+                assert_both_match_reference(gf, pts, WenoParams(r=3, method=method))
 
     def test_matches_scalar_2d(self):
         for seed, fn in ((11, None), (12, lambda x, y: np.exp(x) * np.cos(y)),
@@ -342,21 +386,30 @@ class TestBatchEngine:
             pts = np.stack([
                 rng.uniform(ax.nodes[3], ax.nodes[-4], 60) for ax in gf.grid.axes
             ], axis=1)
-            for method in ("progressive", "classical", "linear"):
-                params = WenoParams(r=3, method=method)
-                got = interpolate_batch(gf, pts, params)
-                want = self.scalar_values(gf, pts, params)
-                np.testing.assert_allclose(got.values, want, rtol=1e-10, atol=1e-12)
+            for method in METHODS:
+                assert_both_match_reference(gf, pts, WenoParams(r=3, method=method))
+
+    def test_matches_scalar_3d(self):
+        for seed, fn in ((70, lambda x, y, z: np.sin(x + 2 * y) + z**2),
+                         (71, lambda x, y, z: (x + y + z > 1.5).astype(float))):
+            gf = random_gf(3, 8, seed=seed, fn=fn)
+            rng = np.random.default_rng(seed)
+            for r in (2, 3):
+                pts = full_window_points(gf, r, 8, rng)
+                for method in METHODS:
+                    assert_both_match_reference(gf, pts, WenoParams(r=r, method=method))
 
     def test_matches_scalar_with_override(self):
         gf = random_gf(1, 16, seed=6)
         nodes = gf.grid.axes[0].nodes
-        pts = np.linspace(nodes[4], nodes[-5], 17)
+        pts = np.linspace(nodes[4], nodes[-5], 17)[:, None]
         override = np.array([0.1, 0.0, 2.0])
-        params = WenoParams(r=3)
-        got = interpolate_batch(gf, pts, params, smoothness_override=override)
-        want = self.scalar_values(gf, pts[:, None], params, override=override)
-        np.testing.assert_allclose(got.values, want, rtol=1e-10, atol=1e-12)
+        assert_both_match_reference(gf, pts, WenoParams(r=3), override=override)
+        gf2 = random_gf(2, 12, seed=7)
+        pts2 = full_window_points(gf2, 3, 10, np.random.default_rng(7))
+        for method in ("progressive", "classical"):
+            assert_both_match_reference(gf2, pts2, WenoParams(r=3, method=method),
+                                        override=np.arange(9.0).reshape(3, 3))
 
     def test_reports_cells_hull_and_fallback(self):
         gf = random_gf(1, 20, seed=8)
@@ -365,7 +418,7 @@ class TestBatchEngine:
         params = WenoParams(r=3)
         got = interpolate_batch(gf, pts, params)
         for p, point in enumerate(pts):
-            res = interpolate_nd(gf, [point], params)
+            res = reference_interpolate(gf, [point], params)
             assert got.cells[p, 0] == res.cell.i[0]
             assert got.base_min[p] == pytest.approx(res.base_values.min(), rel=1e-12)
             assert got.base_max[p] == pytest.approx(res.base_values.max(), rel=1e-12)
@@ -384,19 +437,6 @@ class TestBatchEngine:
             lin = interpolate_batch(gf, pts, WenoParams(r=3, method="linear"))
             np.testing.assert_allclose(got.values, lin.values, rtol=1e-12)
 
-    def test_three_dimensional_loop_path(self):
-        gf = random_gf(3, 8, seed=70, fn=lambda x, y, z: np.sin(x + 2 * y) + z**2)
-        pts = np.array([[0.5, 0.5, 0.5], [0.45, 0.55, 0.5]])
-        # clamp queries into cells with full windows
-        pts = np.stack([
-            np.clip(pts[:, a], gf.grid.axes[a].nodes[3] + 1e-6,
-                    gf.grid.axes[a].nodes[-4]) for a in range(3)
-        ], axis=1)
-        params = WenoParams(r=2)
-        got = interpolate_batch(gf, pts, params)
-        want = self.scalar_values(gf, pts, params)
-        np.testing.assert_allclose(got.values, want, rtol=1e-13)
-
     def test_empty_and_invalid_inputs(self):
         gf = random_gf(1, 12, seed=9)
         out = interpolate_batch(gf, np.zeros((0,)), WenoParams(r=3))
@@ -406,3 +446,43 @@ class TestBatchEngine:
         with pytest.raises(InsufficientStencilError):
             interpolate_batch(gf, np.array([gf.grid.axes[0].nodes[1] + 1e-9]),
                               WenoParams(r=3))
+        with pytest.raises(OutOfDomainError):
+            interpolate_batch(gf, np.array([0.5, np.nan]), WenoParams(r=3))
+        with pytest.raises(OutOfDomainError):
+            interpolate_nd(gf, [np.nan], WenoParams(r=3))
+
+
+@st.composite
+def engine_cases(draw):
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 4 if n <= 2 else 3))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    J = 2 * r + int(rng.integers(1, 5))
+    axes = []
+    for _ in range(n):
+        # strongly non-uniform: gaps spread over two decades
+        gaps = 10.0 ** rng.uniform(-1.0, 1.0, J)
+        axes.append(Grid1D(np.concatenate(([0.0], np.cumsum(gaps))) * rng.uniform(0.1, 10.0)))
+    grid = TensorGrid(tuple(axes))
+    if draw(st.booleans()):
+        values = rng.normal(size=grid.shape)
+    else:   # a jump across a tilted plane through the middle of the domain
+        mesh = np.meshgrid(*(ax.nodes / ax.b for ax in axes), indexing="ij")
+        values = (sum(m * (a + 1) for a, m in enumerate(mesh)) > 0.5 * n).astype(float)
+    gf = GridFunction(grid, values)
+    pts = full_window_points(gf, r, 3, rng)
+    return gf, pts, r, draw(st.sampled_from(METHODS))
+
+
+class TestEngineProperties:
+    @given(engine_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_entry_points_equal_reference(self, case):
+        gf, pts, r, method = case
+        batch = assert_both_match_reference(gf, pts, WenoParams(r=r, method=method))
+        if method != "linear":
+            pad = 1e-12 * np.maximum(1.0, np.maximum(np.abs(batch.base_min),
+                                                     np.abs(batch.base_max)))
+            assert ((batch.base_min - pad <= batch.values)
+                    & (batch.values <= batch.base_max + pad)).all()
