@@ -4,25 +4,35 @@ The indicator of a sub-stencil polynomial p over the central cell G is
 
     I = sum_{l in J} (prod_j h_j^(2 l_j - 1)) * integral_G (d^l p)^2 dx,
 
-with J = {0..r}^n \\ {0} and h_j the per-axis mesh width. Each term is
-evaluated by applying per-axis basis-derivative matrices to the sample block
-and squaring the result at tensor Gauss-Legendre points (exact: the
-integrands are polynomials of per-axis degree <= 2r). Derivatives are applied
-to the samples before squaring; folding the squares into Gram matrices first
-loses the indicator to cancellation when sub-stencil nodes cluster.
-Indicators are computed once per distinct cell at level r, for many cells in
-one call; higher recursion levels reuse them by index shifts.
+with J = {0..r}^n \\ {0} and h_j the per-axis mesh width. It is computed in
+the cell's own coordinates u_j = (x_j - mid_j) / half_j in [-1, 1], where
+each term is the same dimensionless number
+
+    prod_j (h_j / half_j)^(2 l_j - 1) * integral_[-1,1]^n (d_u^l p)^2 du,
+
+so the indicators are invariant under x -> s x + d (bit for bit when s is a
+power of two) and stay finite at any scale the grid can represent. Each term
+applies per-axis basis-derivative samples, in units of u, to the sample block
+and squares the result at tensor Gauss-Legendre points (exact: the integrands
+are polynomials of per-axis degree <= 2r). Derivatives are applied before
+squaring; folding the squares into Gram matrices first loses the indicator to
+cancellation when sub-stencil nodes cluster. The samples of all distinct cells
+and offsets on an axis come from one batched call of
+stencil.derivative_samples at one cached Gauss rule. Indicators are computed
+once per distinct cell at level r; higher recursion levels reuse them by index
+shifts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grid import CellIndex, GridFunction, value_blocks
-from .stencil import StencilND, basis_derivative_matrix, resolve_stencil
+from .stencil import StencilND, derivative_samples, resolve_stencil
 
 
 class SmoothnessError(ValueError):
@@ -64,50 +74,73 @@ class SmoothnessTable:
         object.__setattr__(self, "entries", entries)
 
 
+@lru_cache(maxsize=32)
+def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per q.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    pts, wts = leggauss(q)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return pts, wts
+
+
 def cell_quadrature(a: float, b: float, q: int):
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    pts, wts = leggauss(q)
+    pts, wts = gauss_rule(q)
     half = 0.5 * (b - a)
     return a + half * (pts + 1.0), half * wts
 
 
-def axis_derivative_samples(stencil_nodes, a: float, b: float, q: int):
-    """Per-order basis-derivative values on one axis.
+def _cell_samples(subs: np.ndarray, a: np.ndarray, b: np.ndarray, pts: np.ndarray):
+    """Basis-derivative samples of stencils subs (c, m) at the Gauss points
+    pts of their cells [a, b] (c,), in each cell's coordinate u; also the
+    cells' half widths."""
+    half = 0.5 * (b - a)
+    x = a[:, None] + half[:, None] * (pts + 1.0)
+    return derivative_samples(subs, x, half), half
 
-    Returns (S, wts): S[m, p, j] is the m-th derivative of basis function j at
-    quadrature point p of [a, b], for m = 0..degree.
+
+def axis_derivative_samples(stencil_nodes, a: float, b: float, q: int):
+    """Per-order basis-derivative values on one axis, in cell-local units.
+
+    Returns (S, wts): S[m, p, j] is the m-th derivative, with respect to
+    u = (x - (a + b) / 2) / ((b - a) / 2), of basis function j at Gauss
+    point p of [a, b], for m = 0..degree; wts are the Gauss weights on
+    u in [-1, 1].
     """
     nodes = np.asarray(stencil_nodes, dtype=np.float64)
-    pts, wts = cell_quadrature(a, b, q)
-    sam = np.stack([basis_derivative_matrix(nodes, m, pts) for m in range(nodes.size)])
-    return sam, wts
+    pts, wts = gauss_rule(q)
+    sam, _ = _cell_samples(nodes[None], np.array([a], dtype=np.float64),
+                           np.array([b], dtype=np.float64), pts)
+    return sam[0], wts
 
 
-def _axis_h(gf: GridFunction, axis: int, nodes: np.ndarray, local_h: bool) -> float:
+def _axis_h(gf: GridFunction, axis: int, subs: np.ndarray, local_h: bool) -> np.ndarray:
+    """Mesh width of each sub-stencil subs[..., :] on an axis."""
     if local_h:
-        return float(np.diff(nodes).max())
-    return gf.grid.axes[axis].h_max
+        return np.diff(subs, axis=-1).max(axis=-1)
+    return np.full(subs.shape[:-1], gf.grid.axes[axis].h_max)
 
 
-def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int, q: int,
-                      local_h: bool):
+def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int,
+                      pts: np.ndarray, wts: np.ndarray, local_h: bool):
     """Per distinct 1-D cell on an axis: basis-derivative samples per offset k.
 
-    Returns (sam[nc, r, r+1, q, r+1], wts[nc, q], h[nc, r]) for the nc
-    distinct cells given.
+    One batched call of derivative_samples for all nc cells and r offsets.
+    Returns (sam[nc, r, r+1, q, r+1], wts[nc, q], h[nc, r]) in cell-local
+    units: derivatives with respect to the cell coordinate u, Gauss weights
+    on u in [-1, 1], and h divided by the cell's half width.
     """
     nodes = gf.grid.axes[axis].nodes
-    nc = cells.size
-    sam = np.empty((nc, r, r + 1, q, r + 1))
-    wts = np.empty((nc, q))
-    hs = np.empty((nc, r))
-    for row, i in enumerate(cells):
-        a, b = nodes[i - 1], nodes[i]
-        for k in range(r):
-            sub = nodes[i - r + k : i + k + 1]
-            sam[row, k], wts[row] = axis_derivative_samples(sub, a, b, q)
-            hs[row, k] = _axis_h(gf, axis, sub, local_h)
-    return sam, wts, hs
+    nc, q = cells.size, pts.size
+    subs = nodes[cells[:, None, None] - r + np.arange(r)[:, None] + np.arange(r + 1)]
+    a, b = nodes[cells - 1], nodes[cells]
+    sam, half = _cell_samples(subs.reshape(nc * r, r + 1), np.repeat(a, r),
+                              np.repeat(b, r), pts)
+    hs = _axis_h(gf, axis, subs, local_h) / half.reshape(nc, r)
+    return sam.reshape(nc, r, r + 1, q, r + 1), np.broadcast_to(wts, (nc, q)), hs
 
 
 def _indicator_values(block: np.ndarray, sams, wts, hs) -> np.ndarray:
@@ -160,14 +193,14 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int,
     shape (npts,) + (r,)*n, entry k the indicator of base sub-stencil k.
     """
     n = gf.grid.ndim
-    q = params.resolve_q(r)
+    pts, gw = gauss_rule(params.resolve_q(r))
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
     uniq, inverse = np.unique(flat, return_inverse=True)
     distinct = np.stack(np.unravel_index(uniq, gf.grid.shape), axis=1)
     caches, rows = [], []
     for a in range(n):
         axis_cells, row = np.unique(distinct[:, a], return_inverse=True)
-        caches.append(_axis_table_cache(gf, a, axis_cells, r, q, params.local_h))
+        caches.append(_axis_table_cache(gf, a, axis_cells, r, pts, gw, params.local_h))
         rows.append(row.ravel())
     wts = [w[row] for (_, w, _), row in zip(caches, rows)]
     tables = np.empty((uniq.size,) + (r,) * n)
@@ -198,7 +231,7 @@ def smoothness_indicator(
         S, w = axis_derivative_samples(nodes, a, b, q)
         sams.append(S[None])
         wts.append(w[None])
-        hs.append(np.array([_axis_h(gf, axis, nodes, params.local_h)]))
+        hs.append(_axis_h(gf, axis, nodes[None], params.local_h) / (0.5 * (b - a)))
     return float(_indicator_values(block[None], sams, wts, hs)[0])
 
 

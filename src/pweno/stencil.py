@@ -2,8 +2,8 @@
 
 A window holds the 2r nodes per axis centered on the query cell. A sub-stencil
 of width m+1 starts at offset k inside the window (nodes w[k] .. w[k+m]).
-Derivative matrices come from the Newton form of the Lagrange basis,
-differentiated coefficient-wise.
+Derivative samples come from the Newton form of the Lagrange basis,
+differentiated coefficient-wise, for many stencils in one batched call.
 """
 from __future__ import annotations
 
@@ -79,63 +79,62 @@ def resolve_stencil(gf: GridFunction, stencil: StencilND):
     return node_lists, gf.values[tuple(slices)]
 
 
-def _newton_coefficients(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Divided-difference coefficients; values may be a matrix (nodes x k)."""
-    n = nodes.size
-    table = values.astype(np.float64).copy()
-    coeffs = [table[0].copy()]
-    for m in range(1, n):
-        table = (table[1:] - table[:-1]) / (nodes[m:] - nodes[:-m]).reshape(
-            (-1,) + (1,) * (table.ndim - 1)
-        )
-        coeffs.append(table[0].copy())
-    return np.array(coeffs)
+def derivative_samples(nodes, points, unit) -> np.ndarray:
+    """Every derivative of every Lagrange basis function, for many stencils.
 
-
-def _newton_to_monomial(nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Expand Newton-form coefficients into monomial coefficients (low to high).
-
-    Nodes and coefficients must already be in the local coordinate used for
-    evaluation; the expansion is exact polynomial algebra.
+    nodes (c, m) holds c stencils of m distinct nodes, points (c, p) their
+    sample points and unit (c,) or a scalar their length unit. D[s, l, i, j]
+    of the (c, m, p, m) result is the l-th derivative, with respect to
+    x / unit[s], of basis j of stencil s at points[s, i]. Each stencil works
+    in its own coordinate t = (x - center) / scale, nodes spanning [-1, 1];
+    only unit / scale reaches the result.
     """
-    n = coeffs.shape[0]
-    trail = coeffs.shape[1:]
-    mono = np.zeros((1,) + trail)
-    mono[0] = coeffs[n - 1]
-    for a in range(n - 2, -1, -1):
-        # multiply by (u - nodes[a]), then add coeffs[a]
-        new = np.zeros((mono.shape[0] + 1,) + trail)
+    nodes = np.asarray(nodes, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    c, m = nodes.shape
+    # stencils on the last axis, so every step runs over c contiguous values
+    nodes_t = np.ascontiguousarray(nodes.T)
+    center = nodes_t.mean(axis=0)
+    scale = np.maximum(nodes_t.max(axis=0) - nodes_t.min(axis=0), 1.0e-300) / 2.0
+    t = (nodes_t - center) / scale
+    # Newton coefficients of the basis: divided differences of the identity
+    table = np.broadcast_to(np.eye(m)[:, :, None], (m, m, c))
+    coeffs = [table[0]]
+    for j in range(1, m):
+        table = (table[1:] - table[:-1]) / (t[j:] - t[:-j])[:, None, :]
+        coeffs.append(table[0])
+    # monomial coefficients mono[power, basis, s]: multiply by (t - t_a), add
+    mono = coeffs[m - 1][None]
+    for a in range(m - 2, -1, -1):
+        new = np.zeros((mono.shape[0] + 1, m, c))
         new[1:] += mono
-        new[:-1] -= nodes[a] * mono
+        new[:-1] -= t[a] * mono
         new[0] += coeffs[a]
         mono = new
-    return mono
+    # every derivative order by Horner's rule, in place in its slice of out
+    u = ((points.T - center) / scale)[:, None, :]
+    out = np.empty((m, points.shape[1], m, c))
+    for order in range(m):
+        acc = out[order]
+        acc[...] = mono[-1]
+        for power in range(m - order - 2, -1, -1):
+            acc *= u
+            acc += mono[power]
+        mono = mono[1:] * np.arange(1, m - order)[:, None, None]
+    ratio = np.asarray(unit, dtype=np.float64) / scale
+    out *= (ratio ** np.arange(m)[:, None])[:, None, None, :]
+    return out.transpose(3, 0, 1, 2)
 
 
 def basis_derivative_matrix(nodes, order: int, points) -> np.ndarray:
     """Matrix D with D[q, j] = order-th derivative of Lagrange basis j at points[q].
 
-    order = 0 gives plain basis values. Computed in shifted, scaled local
-    coordinates for conditioning; derivatives are exact coefficient algebra on
-    the Newton form (no finite differences).
+    order = 0 gives plain basis values. A one-stencil call of
+    derivative_samples, in x units.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     points = np.atleast_1d(np.asarray(points, dtype=np.float64))
     n = nodes.size
     if order < 0 or order > n - 1:
         raise StencilError(f"derivative order {order} out of range for {n} nodes")
-    center = nodes.mean()
-    scale = max(nodes.max() - nodes.min(), 1.0e-300) / 2.0
-    t = (nodes - center) / scale
-    coeffs = _newton_coefficients(t, np.eye(n))
-    mono = _newton_to_monomial(t, coeffs)  # shape (n, n): power x basis
-    for _ in range(order):
-        powers = np.arange(1, mono.shape[0]).reshape(-1, 1)
-        mono = mono[1:] * powers
-    if mono.shape[0] == 0:
-        return np.zeros((points.size, n))
-    u = (points - center) / scale
-    out = np.zeros((points.size, n))
-    for row in mono[::-1]:
-        out = out * u[:, None] + row[None, :]
-    return out / scale**order
+    return derivative_samples(nodes[None], points[None], 1.0)[0, order]

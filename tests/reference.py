@@ -11,8 +11,9 @@ weights (closed forms and path enumeration in test_weights) and WenoParams'
 eps and t (test_weno). It shares none of the engine's gather, base values,
 recursion or normalization.
 
-Also here: the closed-form midpoint weights and the small helpers that only
-the tests use.
+Also here: the smoothness indicator by its definition, through numpy's
+polynomial routines and nothing of pweno.stencil; the closed-form midpoint
+weights and the small helpers that only the tests use.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from pweno.grid import CellIndex, GridFunction, locate_cell
 from pweno.smoothness import SmoothnessError, SmoothnessTable, build_table
@@ -78,6 +80,50 @@ def tensor_lagrange_eval(gf: GridFunction, stencil: StencilND, x_star) -> float:
     for axis in range(len(node_lists) - 1, -1, -1):
         out = _neville_last_axis(node_lists[axis], out, float(x_star[axis]))
     return float(out)
+
+
+# --- the smoothness indicator by its definition ----------------------------
+
+def indicator_definition(node_lists, block, bounds, hs) -> float:
+    """sum over l != 0 of prod_j h_j^(2 l_j - 1) * integral_cell (d^l p)^2.
+
+    p interpolates block on the tensor stencil node_lists (one node array
+    per axis); bounds holds the cell's (a, b) and hs the mesh width per
+    axis. Each axis is mapped to its own local s = (x - c) / w, the stencil
+    spanning s in [-1, 1]. p's monomial coefficients in s come from polyfit
+    (as many nodes as coefficients: interpolation), each derivative from
+    polyder, and the integrals of s^k over the cell from polyint; the square
+    is integrated as the quadratic form of those moments.
+    """
+    coef = np.asarray(block, dtype=np.float64)
+    moments, widths = [], []
+    for axis, (nodes, (a, b)) in enumerate(zip(node_lists, bounds)):
+        nodes = np.asarray(nodes, dtype=np.float64)
+        m = nodes.size
+        c, w = 0.5 * (nodes[0] + nodes[-1]), 0.5 * (nodes[-1] - nodes[0])
+        basis = P.polyfit((nodes - c) / w, np.eye(m), m - 1)     # (power, basis)
+        coef = np.moveaxis(np.tensordot(basis, coef, axes=(1, axis)), 0, axis)
+        sa, sb = (a - c) / w, (b - c) / w
+        anti = [P.polyint(np.eye(2 * m - 1)[k]) for k in range(2 * m - 1)]
+        mom = np.array([P.polyval(sb, q) - P.polyval(sa, q) for q in anti])
+        moments.append(mom[np.add.outer(np.arange(m), np.arange(m))])
+        widths.append(w)
+    total = 0.0
+    for orders in product(*(range(s) for s in coef.shape)):
+        if not any(orders):
+            continue
+        d = coef
+        for axis, l in enumerate(orders):
+            d = P.polyder(d, l, axis=axis)
+        form = d
+        for axis, mom in enumerate(moments):
+            k = d.shape[axis]
+            form = np.moveaxis(np.tensordot(mom[:k, :k], form, axes=(1, axis)), 0, axis)
+        term = float(np.sum(d * form))
+        for h, w, l in zip(hs, widths, orders):
+            term *= (h / w) ** (2 * l - 1)
+        total += term
+    return total
 
 
 # --- closed forms and small helpers ----------------------------------------

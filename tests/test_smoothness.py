@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
+import pweno
+from pweno import smoothness
 from pweno.grid import (
     CellIndex,
+    Grid1D,
     GridFunction,
     TensorGrid,
     build_random_grid,
@@ -16,10 +21,11 @@ from pweno.smoothness import (
     SmoothnessTable,
     build_table,
     cell_quadrature,
+    indicator_tables,
     smoothness_indicator,
 )
 from pweno.stencil import Stencil1D, StencilND
-from reference import level_lookup
+from reference import indicator_definition, level_lookup
 
 PARAMS = IndicatorParams()
 
@@ -113,7 +119,6 @@ class TestIndicator1D:
 
     def test_local_h_option(self):
         # widest gap sits outside the sub-stencil, so the two h choices differ
-        from pweno.grid import Grid1D
         g = Grid1D(np.concatenate([np.linspace(0, 0.6, 12), [1.0]]))
         gf = make_gf_1d(g, lambda x: np.sin(3 * x))
         st = StencilND((Stencil1D(i=6, r=3, k=0, m=3),))
@@ -278,3 +283,86 @@ def test_cell_quadrature_integrates_polynomials():
     anti = P.polyint(coef)
     exact = P.polyval(0.75, anti) - P.polyval(0.25, anti)
     assert float(wts @ P.polyval(pts, coef)) == pytest.approx(exact, rel=1e-14)
+
+
+def random_axis(rng, J: int) -> Grid1D:
+    """J cells on [0, 1] whose widths spread over two decades."""
+    gaps = 10.0 ** rng.uniform(-1.0, 1.0, J)
+    return Grid1D(np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum())
+
+
+@st.composite
+def table_cases(draw):
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    J = 2 * r + int(rng.integers(1, 6))
+    grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
+    gf = GridFunction(grid, rng.normal(size=grid.shape))
+    cells = rng.integers(r, J - r + 2, size=(int(rng.integers(1, 9)), n))
+    return gf, cells, r, draw(st.booleans())
+
+
+class TestIndicatorTables:
+    @given(table_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_definition(self, case):
+        # many cells per call, repeats included, against the polyfit route
+        gf, cells, r, local_h = case
+        tables = indicator_tables(gf, cells, r, IndicatorParams(local_h=local_h))
+        axes = gf.grid.axes
+        for cell, table in zip(cells, tables):
+            for k in np.ndindex(*(r,) * gf.grid.ndim):
+                subs = [ax.nodes[i - r + kk : i + kk + 1] for ax, i, kk in zip(axes, cell, k)]
+                block = gf.values[tuple(slice(i - r + kk, i + kk + 1)
+                                        for i, kk in zip(cell, k))]
+                bounds = [(ax.nodes[i - 1], ax.nodes[i]) for ax, i in zip(axes, cell)]
+                hs = [np.diff(nd).max() if local_h else ax.h_max for nd, ax in zip(subs, axes)]
+                want = indicator_definition(subs, block, bounds, hs)
+                assert table[k] == pytest.approx(want, rel=1e-9)
+
+    @given(st.integers(1, 2), st.integers(2, 5), st.integers(0, 2**31 - 1),
+           st.lists(st.integers(-330, 330), min_size=2, max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_invariance(self, n, r, seed, ks):
+        # x -> 2^k x + d with d = 2^k d0: the scaled grid is exactly the
+        # shifted one times a power of two
+        rng = np.random.default_rng(seed)
+        J = 2 * r + 3
+        base = [random_axis(rng, J).nodes + rng.integers(-4, 5) for _ in range(n)]
+        values = rng.normal(size=(J + 1,) * n)
+        cells = rng.integers(r, J - r + 2, size=(5, n))
+
+        def tables(k):
+            grid = TensorGrid(tuple(Grid1D(2.0 ** kk * nd) for kk, nd in zip(k, base)))
+            return indicator_tables(GridFunction(grid, values), cells, r, IndicatorParams())
+
+        scaled = tables(ks[:n])
+        assert np.isfinite(scaled).all()
+        np.testing.assert_allclose(scaled, tables([0] * n), rtol=1e-12, atol=0.0)
+
+
+class TestBatchedBuild:
+    @pytest.mark.parametrize("n, J", [(1, 1006), (2, 38)])
+    def test_one_gauss_rule_and_one_kernel_call_per_axis(self, monkeypatch, n, J):
+        # counts, not times: per-(cell, k) work would call these per cell
+        r = 3
+        calls = {"gauss": 0, "kernel": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(smoothness, "gauss_rule", counting("gauss", smoothness.gauss_rule))
+        monkeypatch.setattr(smoothness, "derivative_samples",
+                            counting("kernel", smoothness.derivative_samples))
+        rng = np.random.default_rng(7)
+        grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
+        gf = GridFunction(grid, rng.normal(size=grid.shape))
+        mids = [0.5 * (ax.nodes[r:J - r + 1] + ax.nodes[r - 1:J - r]) for ax in grid.axes]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*mids, indexing="ij")], axis=1)
+        assert pts.shape[0] >= 1000
+        pweno.interpolate_batch(gf, pts if n > 1 else pts[:, 0], pweno.WenoParams(r=r))
+        assert calls == {"gauss": 1, "kernel": n}
