@@ -11,12 +11,15 @@ each term is the same dimensionless number
     prod_j (h_j / half_j)^(2 l_j - 1) * integral_[-1,1]^n (d_u^l p)^2 du,
 
 so the indicators are invariant under x -> s x + d (bit for bit when s is a
-power of two) and stay finite at any scale the grid can represent. Each term
-applies per-axis basis-derivative samples, in units of u, to the sample block
-and squares the result at tensor Gauss-Legendre points (exact: the integrands
-are polynomials of per-axis degree <= 2r). Derivatives are applied before
-squaring; folding the squares into Gram matrices first loses the indicator to
-cancellation when sub-stencil nodes cluster. The samples of all distinct cells
+power of two) and stay finite at any scale the grid can represent. Per axis,
+basis-derivative samples of every order at the Gauss-Legendre points, in
+units of u, are applied to the sample block in one batched matmul; after
+all axes the block holds every mixed derivative d_u^l p at every tensor
+Gauss point (exact: the integrands are polynomials of per-axis degree
+<= 2r). Derivatives are applied before squaring; folding the squares into
+Gram matrices first loses the indicator to cancellation when sub-stencil
+nodes cluster. Rows are taken in chunks of a fixed byte budget, so memory
+does not grow with the number of cells. The samples of all distinct cells
 and offsets on an axis come from one batched call of
 stencil.derivative_samples at one cached Gauss rule. Indicators are computed
 once per distinct cell at level r; higher recursion levels reuse them by index
@@ -39,6 +42,11 @@ class SmoothnessError(ValueError):
     pass
 
 
+# Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
+# rows are processed in chunks, so its temporaries do not grow with c.
+_CHUNK_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class IndicatorParams:
     """q: Gauss-Legendre points per axis (default r+1, the exactness minimum);
@@ -47,6 +55,12 @@ class IndicatorParams:
 
     q: int | None = None
     local_h: bool = False
+
+    def __post_init__(self) -> None:
+        q = self.q
+        if q is not None and (isinstance(q, bool) or not isinstance(q, (int, np.integer))
+                              or q < 1):
+            raise SmoothnessError(f"need an integer q >= 1 or None, got {q!r}")
 
     def resolve_q(self, r: int) -> int:
         q = self.q if self.q is not None else r + 1
@@ -86,13 +100,6 @@ def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def cell_quadrature(a: float, b: float, q: int):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    pts, wts = gauss_rule(q)
-    half = 0.5 * (b - a)
-    return a + half * (pts + 1.0), half * wts
-
-
 def _cell_samples(subs: np.ndarray, a: np.ndarray, b: np.ndarray, pts: np.ndarray):
     """Basis-derivative samples of stencils subs (c, m) at the Gauss points
     pts of their cells [a, b] (c,), in each cell's coordinate u; also the
@@ -125,13 +132,13 @@ def _axis_h(gf: GridFunction, axis: int, subs: np.ndarray, local_h: bool) -> np.
 
 
 def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int,
-                      pts: np.ndarray, wts: np.ndarray, local_h: bool):
+                      pts: np.ndarray, local_h: bool):
     """Per distinct 1-D cell on an axis: basis-derivative samples per offset k.
 
     One batched call of derivative_samples for all nc cells and r offsets.
-    Returns (sam[nc, r, r+1, q, r+1], wts[nc, q], h[nc, r]) in cell-local
-    units: derivatives with respect to the cell coordinate u, Gauss weights
-    on u in [-1, 1], and h divided by the cell's half width.
+    Returns (sam[nc, r, r+1, q, r+1], h[nc, r]) in cell-local units:
+    derivatives with respect to the cell coordinate u, and h divided by the
+    cell's half width.
     """
     nodes = gf.grid.axes[axis].nodes
     nc, q = cells.size, pts.size
@@ -140,7 +147,7 @@ def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int,
     sam, half = _cell_samples(subs.reshape(nc * r, r + 1), np.repeat(a, r),
                               np.repeat(b, r), pts)
     hs = _axis_h(gf, axis, subs, local_h) / half.reshape(nc, r)
-    return sam.reshape(nc, r, r + 1, q, r + 1), np.broadcast_to(wts, (nc, q)), hs
+    return sam.reshape(nc, r, r + 1, q, r + 1), hs
 
 
 def _indicator_values(block: np.ndarray, sams, wts, hs) -> np.ndarray:
@@ -148,40 +155,45 @@ def _indicator_values(block: np.ndarray, sams, wts, hs) -> np.ndarray:
 
     block has shape (c, m, ..., m) with m samples per axis; per axis,
     sams[axis] (c, m, q, m) holds the basis-derivative samples of orders
-    0..m-1, wts[axis] (c, q) the quadrature weights and hs[axis] (c,) the
-    mesh width. The derivative orders of the leading axes are walked one
-    branch at a time, so the leading axes' work is shared between terms;
-    the last axis takes all its orders at once. Every term is squared only
-    after all its derivatives are applied.
+    0..m-1, wts[axis] (q,) the quadrature weights and hs[axis] (c,) the
+    mesh width. Each axis is contracted once for all its orders: one batched
+    matmul turns its m samples into m*q (order, Gauss point) values, so the
+    block becomes every mixed derivative of the interpolant at every tensor
+    Gauss point, shape (c, m*q, ..., m*q). Only then is it squared; the
+    Gauss points are integrated out and each order scaled by its
+    (h / half)^(2 l - 1). Rows go in chunks of _CHUNK_BYTES of that tensor,
+    so the temporaries do not grow with c.
     """
-    c, n, m = block.shape[0], block.ndim - 1, block.shape[-1]
-    # every term differentiates at least once, so any constant shift is inert;
-    # centering makes constant data give exactly zero
-    block = block - block.mean(axis=tuple(range(1, n + 1)), keepdims=True)
-    quads = [np.ones((c, 1))]       # tensor quadrature weights of the leading axes
-    for w in wts[:-1]:
-        quads.append((quads[-1][:, :, None] * w[:, None, :]).reshape(c, -1))
+    c, n, m, q = block.shape[0], block.ndim - 1, block.shape[-1], wts[0].size
+    step = max(1, _CHUNK_BYTES // (8 * (m * q) ** n))
     powers = 2 * np.arange(m) - 1
-    total = np.zeros(c)
-    # depth first over the orders of the leading axes; an entry holds T of
-    # shape (c, quadrature points of axes < axis, samples of axes >= axis)
-    stack = [(block.reshape(c, 1, -1), 0, np.ones(c), False)]
+    tensor_wts = wts[0]
+    for w in wts[1:]:
+        tensor_wts = np.multiply.outer(tensor_wts, w).ravel()
+    # (row, orders..., Gauss points...) from (row, (order, point) per axis)
+    by_order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    total = np.empty(c)
     with np.errstate(over="ignore"):    # inf indicators trigger the fallback
-        while stack:
-            T, axis, coeff, differentiated = stack.pop()
-            T = T.reshape(c, T.shape[1], m, T.shape[2] // m)
-            if axis < n - 1:
-                for order in range(m):
-                    G = sams[axis][:, None, order] @ T
-                    stack.append((G.reshape(c, -1, T.shape[-1]), axis + 1,
-                                  coeff * hs[axis] ** powers[order], differentiated or order > 0))
-                continue
-            G = (sams[axis].reshape(c, 1, -1, m) @ T).reshape(c, T.shape[1], m, -1)
-            sq = ((G * G) @ wts[axis][:, None, :, None])[..., 0]       # (c, Q, orders)
-            per_order = np.einsum("cQm,cQ->cm", sq, quads[axis]) * hs[axis][:, None] ** powers
-            if not differentiated:
-                per_order[:, 0] = 0.0
-            total += coeff * per_order.sum(axis=1)
+        for lo in range(0, c, step):
+            rows = slice(lo, lo + step)
+            T = block[rows]
+            k = T.shape[0]
+            # every term differentiates at least once, so any constant shift
+            # is inert; centering makes constant data give exactly zero
+            T = T - T.mean(axis=tuple(range(1, n + 1)), keepdims=True)
+            for S in sams:
+                # contract the leading sample axis; its (order, point) axis
+                # goes last, so after n axes the axes are back in order
+                T = (T.reshape(k, m, -1).transpose(0, 2, 1)
+                     @ S[rows].reshape(k, m * q, m).transpose(0, 2, 1))
+            sq = (T * T).reshape((k,) + (m, q) * n).transpose(by_order)
+            # a matmul per row, so no row's result depends on its chunk
+            per_order = (sq.reshape(k, m ** n, q ** n) @ tensor_wts).reshape((k,) + (m,) * n)
+            for a, h in enumerate(hs):
+                per_order *= (h[rows, None] ** powers).reshape(
+                    (k,) + (1,) * a + (m,) + (1,) * (n - 1 - a))
+            per_order[(slice(None),) + (0,) * n] = 0.0
+            total[rows] = per_order.reshape(k, -1).sum(axis=1)
     return total
 
 
@@ -200,15 +212,14 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int,
     caches, rows = [], []
     for a in range(n):
         axis_cells, row = np.unique(distinct[:, a], return_inverse=True)
-        caches.append(_axis_table_cache(gf, a, axis_cells, r, pts, gw, params.local_h))
+        caches.append(_axis_table_cache(gf, a, axis_cells, r, pts, params.local_h))
         rows.append(row.ravel())
-    wts = [w[row] for (_, w, _), row in zip(caches, rows)]
     tables = np.empty((uniq.size,) + (r,) * n)
     for k in product(range(r), repeat=n):
         block = value_blocks(gf, distinct - r + np.array(k), r + 1)
-        sams = [sam[row, ka] for (sam, _, _), row, ka in zip(caches, rows, k)]
-        hs = [h[row, ka] for (_, _, h), row, ka in zip(caches, rows, k)]
-        tables[(slice(None),) + k] = _indicator_values(block, sams, wts, hs)
+        sams = [sam[row, ka] for (sam, _), row, ka in zip(caches, rows, k)]
+        hs = [h[row, ka] for (_, h), row, ka in zip(caches, rows, k)]
+        tables[(slice(None),) + k] = _indicator_values(block, sams, [gw] * n, hs)
     return tables[inverse.ravel()]
 
 
@@ -230,7 +241,7 @@ def smoothness_indicator(
     for axis, ((a, b), nodes) in enumerate(zip(cell_bounds(gf, cell), node_lists)):
         S, w = axis_derivative_samples(nodes, a, b, q)
         sams.append(S[None])
-        wts.append(w[None])
+        wts.append(w)
         hs.append(_axis_h(gf, axis, nodes[None], params.local_h) / (0.5 * (b - a)))
     return float(_indicator_values(block[None], sams, wts, hs)[0])
 

@@ -20,7 +20,7 @@ from pweno.smoothness import (
     SmoothnessError,
     SmoothnessTable,
     build_table,
-    cell_quadrature,
+    gauss_rule,
     indicator_tables,
     smoothness_indicator,
 )
@@ -116,6 +116,14 @@ class TestIndicator1D:
         with pytest.raises(SmoothnessError):
             IndicatorParams(q=3).resolve_q(3)
         assert IndicatorParams().resolve_q(3) == 4
+
+    @pytest.mark.parametrize("q", [4.5, True, "4", 0])
+    def test_q_must_be_a_positive_integer(self, q):
+        with pytest.raises(SmoothnessError, match=repr(q)):
+            IndicatorParams(q=q)
+
+    def test_q_accepts_numpy_integer(self):
+        assert IndicatorParams(q=np.int64(5)).resolve_q(3) == 5
 
     def test_local_h_option(self):
         # widest gap sits outside the sub-stencil, so the two h choices differ
@@ -277,11 +285,13 @@ class TestLevelLookup:
             SmoothnessTable(r=3, ndim=1, entries=np.zeros(4), cell_bounds=((0, 1),))
 
 
-def test_cell_quadrature_integrates_polynomials():
-    pts, wts = cell_quadrature(0.25, 0.75, 4)
+def test_gauss_rule_integrates_polynomials():
+    a, b = 0.25, 0.75
+    u, w = gauss_rule(4)
+    pts, wts = a + 0.5 * (b - a) * (u + 1.0), 0.5 * (b - a) * w
     coef = np.array([1.0, -2.0, 0.5, 3.0, 1.0, -0.7, 0.2, 0.1])  # degree 7 = 2q-1
     anti = P.polyint(coef)
-    exact = P.polyval(0.75, anti) - P.polyval(0.25, anti)
+    exact = P.polyval(b, anti) - P.polyval(a, anti)
     assert float(wts @ P.polyval(pts, coef)) == pytest.approx(exact, rel=1e-14)
 
 
@@ -293,19 +303,20 @@ def random_axis(rng, J: int) -> Grid1D:
 
 @st.composite
 def table_cases(draw):
-    n = draw(st.integers(1, 2))
-    r = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(2, 3 if n == 3 else 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     J = 2 * r + int(rng.integers(1, 6))
     grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
     gf = GridFunction(grid, rng.normal(size=grid.shape))
-    cells = rng.integers(r, J - r + 2, size=(int(rng.integers(1, 9)), n))
+    ncells = int(rng.integers(1, 4 if n == 3 else 9))
+    cells = rng.integers(r, J - r + 2, size=(ncells, n))
     return gf, cells, r, draw(st.booleans())
 
 
 class TestIndicatorTables:
     @given(table_cases())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_matches_definition(self, case):
         # many cells per call, repeats included, against the polyfit route
         gf, cells, r, local_h = case
@@ -340,6 +351,28 @@ class TestIndicatorTables:
         scaled = tables(ks[:n])
         assert np.isfinite(scaled).all()
         np.testing.assert_allclose(scaled, tables([0] * n), rtol=1e-12, atol=0.0)
+
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_chunk_boundaries(self, monkeypatch, r):
+        # 7 rows a chunk, so 50 cells end in a partial chunk; odd m = r + 1
+        # puts rows at every offset of a BLAS call's unrolled blocks
+        n = 2
+        rng = np.random.default_rng(11)
+        grid = TensorGrid(tuple(random_axis(rng, 14) for _ in range(n)))
+        gf = GridFunction(grid, rng.normal(size=grid.shape))
+        cells = np.unique(rng.integers(r, 14 - r + 2, size=(400, n)), axis=0)[:50]
+        assert cells.shape[0] == 50
+        full = indicator_tables(gf, cells, r, PARAMS)
+        monkeypatch.setattr(smoothness, "_CHUNK_BYTES", 7 * 8 * ((r + 1) ** 2) ** n)
+        chunked = indicator_tables(gf, cells, r, PARAMS)
+        np.testing.assert_array_equal(chunked, full)
+        for cell, table in zip(cells, chunked):
+            for k in np.ndindex(*(r,) * n):
+                st_ = StencilND(tuple(Stencil1D(i=int(i), r=r, k=kk, m=r)
+                                      for i, kk in zip(cell, k)))
+                one = smoothness_indicator(gf, st_, CellIndex(tuple(cell)), PARAMS)
+                assert one == pytest.approx(table[k], rel=1e-12, abs=1e-15)
 
 
 class TestBatchedBuild:
