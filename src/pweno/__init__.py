@@ -26,7 +26,6 @@ from .grid import (
     locate_cell,
     refine_dyadic,
 )
-from .smoothness import IndicatorParams, SmoothnessError, SmoothnessTable
 from .testfunctions import TEST_FUNCTIONS, TestFunction, get_test_function
 from .weno import (
     DiagnosticsNotCaptured,
@@ -35,7 +34,6 @@ from .weno import (
     WenoError,
     WenoParams,
     capture_diagnostics,
-    interpolate_1d,
     interpolate_nd,
 )
 
@@ -51,15 +49,12 @@ __all__ = [
     "Grid1D",
     "GridError",
     "GridFunction",
-    "IndicatorParams",
     "InsufficientStencilError",
     "InterpResult",
     "NevilleState",
     "OutOfDomainError",
     "RefinementReport",
     "ReportRow",
-    "SmoothnessError",
-    "SmoothnessTable",
     "TEST_FUNCTIONS",
     "TensorGrid",
     "TestFunction",
@@ -71,7 +66,6 @@ __all__ = [
     "capture_diagnostics",
     "emit_report",
     "get_test_function",
-    "interpolate_1d",
     "interpolate_batch",
     "interpolate_nd",
     "locate_cell",

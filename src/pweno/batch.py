@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction
-from .weno import WenoParams, evaluate
+from .weno import WenoError, WenoParams, evaluate
 
 
 @dataclass
@@ -28,7 +28,7 @@ def _as_points(points, ndim: int) -> np.ndarray:
     if ndim == 1 and pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != ndim:
-        raise ValueError(f"points must have shape (npts, {ndim})")
+        raise WenoError(f"points must have shape (npts, {ndim}), got {pts.shape}")
     return pts
 
 

@@ -18,7 +18,7 @@ from .bench import (
     run_refinement_2d,
 )
 from .grid import GridFunction
-from .weno import METHODS, WenoParams
+from .weno import METHODS, WenoError, WenoParams
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -86,7 +86,10 @@ def _cmd_interp(args) -> int:
     data = json.loads(Path(args.data).read_text(encoding="utf-8"))
     gf = GridFunction.from_dict(data)
     queries = json.loads(Path(args.query).read_text(encoding="utf-8"))
-    pts = np.asarray(queries, dtype=np.float64)
+    try:
+        pts = np.asarray(queries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise WenoError("query JSON must be a list of numbers or of coordinate lists") from None
     params = WenoParams(r=args.r, method=args.method)
     res = interpolate_batch(gf, pts, params)
     pts2 = pts[:, None] if pts.ndim == 1 else pts

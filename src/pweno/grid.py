@@ -23,6 +23,14 @@ class InsufficientStencilError(GridError):
     """Not enough nodes around the located cell for the requested window."""
 
 
+def _float_array(data, name: str) -> np.ndarray:
+    """A field of grid JSON as a float64 array, or GridError naming the field."""
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise GridError(f"grid JSON field {name!r} must hold numbers in nested lists") from None
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Strictly increasing node coordinates on one axis.
@@ -97,9 +105,11 @@ class TensorGrid:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TensorGrid":
-        if "axes" not in data:
-            raise GridError("grid JSON must contain 'axes'")
-        return cls(tuple(Grid1D(np.asarray(a, dtype=np.float64)) for a in data["axes"]))
+        if not isinstance(data, dict) or "axes" not in data:
+            raise GridError("grid JSON must be an object with an 'axes' field")
+        if not isinstance(data["axes"], list):
+            raise GridError("grid JSON field 'axes' must be a list of node lists")
+        return cls(tuple(Grid1D(_float_array(a, "axes")) for a in data["axes"]))
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,7 @@ class GridFunction:
         grid = TensorGrid.from_dict(data)
         if "values" not in data:
             raise GridError("grid-function JSON must contain 'values'")
-        return cls(grid, np.asarray(data["values"], dtype=np.float64))
+        return cls(grid, _float_array(data["values"], "values"))
 
 
 @dataclass(frozen=True)

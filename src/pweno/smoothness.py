@@ -1,91 +1,46 @@
-"""Smoothness indicators for base sub-stencil interpolants.
+"""Smoothness indicators of the base sub-stencil interpolants.
 
-The indicator of a sub-stencil polynomial p over the central cell G is
+indicator_tables is the one way to get them: for many query cells at once it
+returns, per cell, the indicator of each of the r^n base sub-stencils. The
+indicator of a sub-stencil polynomial p over the central cell G is
 
     I = sum_{l in J} (prod_j h_j^(2 l_j - 1)) * integral_G (d^l p)^2 dx,
 
-with J = {0..r}^n \\ {0} and h_j the per-axis mesh width. It is computed in
-the cell's own coordinates u_j = (x_j - mid_j) / half_j in [-1, 1], where
-each term is the same dimensionless number
+with J = {0..r}^n \\ {0} and h_j the largest gap of the grid on axis j. It
+is computed in the cell's own coordinates u_j = (x_j - mid_j) / half_j in
+[-1, 1], where each term is the same dimensionless number
 
     prod_j (h_j / half_j)^(2 l_j - 1) * integral_[-1,1]^n (d_u^l p)^2 du,
 
 so the indicators are invariant under x -> s x + d (bit for bit when s is a
 power of two) and stay finite at any scale the grid can represent. Per axis,
-basis-derivative samples of every order at the Gauss-Legendre points, in
+basis-derivative samples of every order at the q = r + 1 Gauss-Legendre
+points (exact: the integrands are polynomials of per-axis degree <= 2r), in
 units of u, are applied to the sample block in one batched matmul; after
 all axes the block holds every mixed derivative d_u^l p at every tensor
-Gauss point (exact: the integrands are polynomials of per-axis degree
-<= 2r). Derivatives are applied before squaring; folding the squares into
-Gram matrices first loses the indicator to cancellation when sub-stencil
-nodes cluster. Rows are taken in chunks of a fixed byte budget, so memory
-does not grow with the number of cells. The samples of all distinct cells
-and offsets on an axis come from one batched call of
-stencil.derivative_samples at one cached Gauss rule. Indicators are computed
-once per distinct cell at level r; higher recursion levels reuse them by index
+Gauss point. Derivatives are applied before squaring; folding the squares
+into Gram matrices first loses the indicator to cancellation when
+sub-stencil nodes cluster. Rows are taken in chunks of a fixed byte budget,
+so memory does not grow with the number of cells. The samples of all
+distinct cells and offsets on an axis come from one batched call of
+derivative_samples at one cached Gauss rule. Indicators are computed once
+per distinct cell at level r; higher recursion levels reuse them by index
 shifts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import CellIndex, GridFunction, value_blocks
-from .stencil import StencilND, derivative_samples, resolve_stencil
-
-
-class SmoothnessError(ValueError):
-    pass
+from .grid import GridFunction, value_blocks
 
 
 # Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
 # rows are processed in chunks, so its temporaries do not grow with c.
 _CHUNK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class IndicatorParams:
-    """q: Gauss-Legendre points per axis (default r+1, the exactness minimum);
-    local_h: use the sub-stencil's own max gap instead of the global per-axis
-    mesh width (off by default)."""
-
-    q: int | None = None
-    local_h: bool = False
-
-    def __post_init__(self) -> None:
-        q = self.q
-        if q is not None and (isinstance(q, bool) or not isinstance(q, (int, np.integer))
-                              or q < 1):
-            raise SmoothnessError(f"need an integer q >= 1 or None, got {q!r}")
-
-    def resolve_q(self, r: int) -> int:
-        q = self.q if self.q is not None else r + 1
-        if q < r + 1:
-            raise SmoothnessError(f"q={q} too small: need q >= r+1 = {r + 1}")
-        return q
-
-
-@dataclass(frozen=True)
-class SmoothnessTable:
-    """Indicators I^r_k for every base sub-stencil k in {0..r-1}^n."""
-
-    r: int
-    ndim: int
-    entries: np.ndarray
-    cell_bounds: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.shape != (self.r,) * self.ndim:
-            raise SmoothnessError(
-                f"entries shape {entries.shape} does not match ({self.r},)*{self.ndim}"
-            )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
 
 @lru_cache(maxsize=32)
@@ -100,63 +55,80 @@ def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def _cell_samples(subs: np.ndarray, a: np.ndarray, b: np.ndarray, pts: np.ndarray):
-    """Basis-derivative samples of stencils subs (c, m) at the Gauss points
-    pts of their cells [a, b] (c,), in each cell's coordinate u; also the
-    cells' half widths."""
-    half = 0.5 * (b - a)
-    x = a[:, None] + half[:, None] * (pts + 1.0)
-    return derivative_samples(subs, x, half), half
+def derivative_samples(nodes, points, unit) -> np.ndarray:
+    """Every derivative of every Lagrange basis function, for many stencils.
 
-
-def axis_derivative_samples(stencil_nodes, a: float, b: float, q: int):
-    """Per-order basis-derivative values on one axis, in cell-local units.
-
-    Returns (S, wts): S[m, p, j] is the m-th derivative, with respect to
-    u = (x - (a + b) / 2) / ((b - a) / 2), of basis function j at Gauss
-    point p of [a, b], for m = 0..degree; wts are the Gauss weights on
-    u in [-1, 1].
+    nodes (c, m) holds c stencils of m distinct nodes, points (c, p) their
+    sample points and unit (c,) or a scalar their length unit. D[s, l, i, j]
+    of the (c, m, p, m) result is the l-th derivative, with respect to
+    x / unit[s], of basis j of stencil s at points[s, i]. Each stencil works
+    in its own coordinate t = (x - center) / scale, nodes spanning [-1, 1];
+    only unit / scale reaches the result.
     """
-    nodes = np.asarray(stencil_nodes, dtype=np.float64)
-    pts, wts = gauss_rule(q)
-    sam, _ = _cell_samples(nodes[None], np.array([a], dtype=np.float64),
-                           np.array([b], dtype=np.float64), pts)
-    return sam[0], wts
-
-
-def _axis_h(gf: GridFunction, axis: int, subs: np.ndarray, local_h: bool) -> np.ndarray:
-    """Mesh width of each sub-stencil subs[..., :] on an axis."""
-    if local_h:
-        return np.diff(subs, axis=-1).max(axis=-1)
-    return np.full(subs.shape[:-1], gf.grid.axes[axis].h_max)
+    nodes = np.asarray(nodes, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    c, m = nodes.shape
+    # stencils on the last axis, so every step runs over c contiguous values
+    nodes_t = np.ascontiguousarray(nodes.T)
+    center = nodes_t.mean(axis=0)
+    scale = np.maximum(nodes_t.max(axis=0) - nodes_t.min(axis=0), 1.0e-300) / 2.0
+    t = (nodes_t - center) / scale
+    # Newton coefficients of the basis: divided differences of the identity
+    table = np.broadcast_to(np.eye(m)[:, :, None], (m, m, c))
+    coeffs = [table[0]]
+    for j in range(1, m):
+        table = (table[1:] - table[:-1]) / (t[j:] - t[:-j])[:, None, :]
+        coeffs.append(table[0])
+    # monomial coefficients mono[power, basis, s]: multiply by (t - t_a), add
+    mono = coeffs[m - 1][None]
+    for a in range(m - 2, -1, -1):
+        new = np.zeros((mono.shape[0] + 1, m, c))
+        new[1:] += mono
+        new[:-1] -= t[a] * mono
+        new[0] += coeffs[a]
+        mono = new
+    # every derivative order by Horner's rule, in place in its slice of out
+    u = ((points.T - center) / scale)[:, None, :]
+    out = np.empty((m, points.shape[1], m, c))
+    for order in range(m):
+        acc = out[order]
+        acc[...] = mono[-1]
+        for power in range(m - order - 2, -1, -1):
+            acc *= u
+            acc += mono[power]
+        mono = mono[1:] * np.arange(1, m - order)[:, None, None]
+    ratio = np.asarray(unit, dtype=np.float64) / scale
+    out *= (ratio ** np.arange(m)[:, None])[:, None, None, :]
+    return out.transpose(3, 0, 1, 2)
 
 
 def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int,
-                      pts: np.ndarray, local_h: bool):
+                      pts: np.ndarray):
     """Per distinct 1-D cell on an axis: basis-derivative samples per offset k.
 
-    One batched call of derivative_samples for all nc cells and r offsets.
-    Returns (sam[nc, r, r+1, q, r+1], h[nc, r]) in cell-local units:
-    derivatives with respect to the cell coordinate u, and h divided by the
-    cell's half width.
+    One batched call of derivative_samples for all nc cells and r offsets, at
+    the Gauss points pts of each cell. Returns (sam[nc, r, r+1, q, r+1],
+    h[nc]) in cell-local units: derivatives with respect to the cell
+    coordinate u, and the axis' largest gap divided by the cell's half width.
     """
-    nodes = gf.grid.axes[axis].nodes
+    ax = gf.grid.axes[axis]
     nc, q = cells.size, pts.size
-    subs = nodes[cells[:, None, None] - r + np.arange(r)[:, None] + np.arange(r + 1)]
-    a, b = nodes[cells - 1], nodes[cells]
-    sam, half = _cell_samples(subs.reshape(nc * r, r + 1), np.repeat(a, r),
-                              np.repeat(b, r), pts)
-    hs = _axis_h(gf, axis, subs, local_h) / half.reshape(nc, r)
-    return sam.reshape(nc, r, r + 1, q, r + 1), hs
+    subs = ax.nodes[cells[:, None, None] - r + np.arange(r)[:, None] + np.arange(r + 1)]
+    a, b = ax.nodes[cells - 1], ax.nodes[cells]
+    half = 0.5 * (b - a)
+    x = a[:, None] + half[:, None] * (pts + 1.0)
+    sam = derivative_samples(subs.reshape(nc * r, r + 1), np.repeat(x, r, axis=0),
+                             np.repeat(half, r))
+    return sam.reshape(nc, r, r + 1, q, r + 1), ax.h_max / half
 
 
-def _indicator_values(block: np.ndarray, sams, wts, hs) -> np.ndarray:
+def _indicator_values(block: np.ndarray, sams, gw: np.ndarray, hs) -> np.ndarray:
     """Indicators of many sub-stencil interpolants, one per row c.
 
     block has shape (c, m, ..., m) with m samples per axis; per axis,
     sams[axis] (c, m, q, m) holds the basis-derivative samples of orders
-    0..m-1, wts[axis] (q,) the quadrature weights and hs[axis] (c,) the
-    mesh width. Each axis is contracted once for all its orders: one batched
+    0..m-1 and hs[axis] (c,) the mesh width; gw (q,) holds the Gauss
+    weights. Each axis is contracted once for all its orders: one batched
     matmul turns its m samples into m*q (order, Gauss point) values, so the
     block becomes every mixed derivative of the interpolant at every tensor
     Gauss point, shape (c, m*q, ..., m*q). Only then is it squared; the
@@ -164,12 +136,12 @@ def _indicator_values(block: np.ndarray, sams, wts, hs) -> np.ndarray:
     (h / half)^(2 l - 1). Rows go in chunks of _CHUNK_BYTES of that tensor,
     so the temporaries do not grow with c.
     """
-    c, n, m, q = block.shape[0], block.ndim - 1, block.shape[-1], wts[0].size
+    c, n, m, q = block.shape[0], block.ndim - 1, block.shape[-1], gw.size
     step = max(1, _CHUNK_BYTES // (8 * (m * q) ** n))
     powers = 2 * np.arange(m) - 1
-    tensor_wts = wts[0]
-    for w in wts[1:]:
-        tensor_wts = np.multiply.outer(tensor_wts, w).ravel()
+    tensor_wts = gw
+    for _ in range(n - 1):
+        tensor_wts = np.multiply.outer(tensor_wts, gw).ravel()
     # (row, orders..., Gauss points...) from (row, (order, point) per axis)
     by_order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
     total = np.empty(c)
@@ -197,62 +169,27 @@ def _indicator_values(block: np.ndarray, sams, wts, hs) -> np.ndarray:
     return total
 
 
-def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int,
-                     params: IndicatorParams) -> np.ndarray:
+def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     """Indicator tables for many cells, each built once per distinct cell.
 
     cells has shape (npts, n) and must have full 2r windows; the result has
-    shape (npts,) + (r,)*n, entry k the indicator of base sub-stencil k.
+    shape (npts,) + (r,)*n, entry k the indicator of base sub-stencil k
+    (nodes i_j - r + k_j .. i_j + k_j on axis j of cell i).
     """
     n = gf.grid.ndim
-    pts, gw = gauss_rule(params.resolve_q(r))
+    pts, gw = gauss_rule(r + 1)
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
     uniq, inverse = np.unique(flat, return_inverse=True)
     distinct = np.stack(np.unravel_index(uniq, gf.grid.shape), axis=1)
     caches, rows = [], []
     for a in range(n):
         axis_cells, row = np.unique(distinct[:, a], return_inverse=True)
-        caches.append(_axis_table_cache(gf, a, axis_cells, r, pts, params.local_h))
+        caches.append(_axis_table_cache(gf, a, axis_cells, r, pts))
         rows.append(row.ravel())
+    hs = [h[row] for (_, h), row in zip(caches, rows)]
     tables = np.empty((uniq.size,) + (r,) * n)
     for k in product(range(r), repeat=n):
         block = value_blocks(gf, distinct - r + np.array(k), r + 1)
         sams = [sam[row, ka] for (sam, _), row, ka in zip(caches, rows, k)]
-        hs = [h[row, ka] for (_, h), row, ka in zip(caches, rows, k)]
-        tables[(slice(None),) + k] = _indicator_values(block, sams, [gw] * n, hs)
+        tables[(slice(None),) + k] = _indicator_values(block, sams, gw, hs)
     return tables[inverse.ravel()]
-
-
-def cell_bounds(gf: GridFunction, cell: CellIndex) -> tuple[tuple[float, float], ...]:
-    return tuple((float(ax.nodes[i - 1]), float(ax.nodes[i]))
-                 for ax, i in zip(gf.grid.axes, cell.i))
-
-
-def smoothness_indicator(
-    gf: GridFunction, stencil: StencilND, cell: CellIndex, params: IndicatorParams
-) -> float:
-    """Indicator of one sub-stencil interpolant over the central cell."""
-    r = stencil.axes[0].r
-    if any(st.m != st.r or st.r != r for st in stencil.axes):
-        raise SmoothnessError("sub-stencil width must be r+1 on every axis")
-    q = params.resolve_q(r)
-    node_lists, block = resolve_stencil(gf, stencil)
-    sams, wts, hs = [], [], []
-    for axis, ((a, b), nodes) in enumerate(zip(cell_bounds(gf, cell), node_lists)):
-        S, w = axis_derivative_samples(nodes, a, b, q)
-        sams.append(S[None])
-        wts.append(w)
-        hs.append(_axis_h(gf, axis, nodes[None], params.local_h) / (0.5 * (b - a)))
-    return float(_indicator_values(block[None], sams, wts, hs)[0])
-
-
-def build_table(
-    gf: GridFunction, cell: CellIndex, r: int, params: IndicatorParams
-) -> SmoothnessTable:
-    """Indicators for all r^n base sub-stencils around a cell."""
-    for i, ax in zip(cell.i, gf.grid.axes):
-        if i - r < 0 or i + r - 1 > ax.n_cells:
-            raise SmoothnessError("full 2r window unavailable around the cell")
-    entries = indicator_tables(gf, np.array([cell.i]), r, params)[0]
-    return SmoothnessTable(r=r, ndim=gf.grid.ndim, entries=entries,
-                           cell_bounds=cell_bounds(gf, cell))

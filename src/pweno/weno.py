@@ -26,13 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import CellIndex, GridFunction, locate_cells, value_blocks
-from .smoothness import (
-    IndicatorParams,
-    SmoothnessTable,
-    build_table,
-    cell_bounds,
-    indicator_tables,
-)
+from .smoothness import indicator_tables
 from .weights import classical_optimal_general, pair_keep
 
 METHODS = ("progressive", "classical", "linear")
@@ -60,7 +54,6 @@ class WenoParams:
     method: str = "progressive"
     epsilon_rule: str | float = "h_squared"
     t: float | None = None
-    indicator: IndicatorParams = field(default_factory=IndicatorParams)
 
     def __post_init__(self) -> None:
         if isinstance(self.r, bool) or not isinstance(self.r, (int, np.integer)) or self.r < 2:
@@ -105,9 +98,13 @@ class NevilleState:
 
 @dataclass
 class InterpResult:
+    """One point's answer. indicators holds its base sub-stencil indicators,
+    shape (r,)*n, or the override if one was given; it is None for the
+    linear method without an override, which builds none."""
+
     value: float
     cell: CellIndex
-    table: SmoothnessTable
+    indicators: np.ndarray | None
     base_values: np.ndarray
     linear_fallback: bool = False
     neville: NevilleState | None = None
@@ -209,7 +206,7 @@ def evaluate(
         ind = np.broadcast_to(np.asarray(smoothness_override, dtype=np.float64),
                               (npts,) + (r,) * n)
     elif weighted:
-        ind = indicator_tables(gf, cells, r, params.indicator)
+        ind = indicator_tables(gf, cells, r)
     else:
         ind = None
     fallback = np.zeros(npts, dtype=bool)
@@ -218,7 +215,7 @@ def evaluate(
     if params.method == "linear":
         top = _neville(base, windows, x, range(r, 2 * r - 1))
     elif params.method == "classical":
-        C = _outer([classical_optimal_general(windows[a], x[a]).c for a in range(n)])
+        C = _outer([classical_optimal_general(windows[a], x[a]) for a in range(n)])
         omega, fallback = nonlinear_pair(C.reshape(npts, -1), ind.reshape(npts, -1), eps, t)
         top = np.einsum("pk,pk->p", omega, base.reshape(npts, -1))
     else:
@@ -268,24 +265,6 @@ def interpolate_nd(
         raise WenoError(f"query has {x_star.size} coordinates, data has {n}")
     ev = evaluate(gf, x_star[None, :], params, smoothness_override,
                   capture and params.method == "progressive")
-    cell = CellIndex(tuple(ev.cells[0]))
-    if ev.indicators is None:
-        table = build_table(gf, cell, params.r, params.indicator)
-    else:
-        table = SmoothnessTable(r=params.r, ndim=n, entries=np.array(ev.indicators[0]),
-                                cell_bounds=cell_bounds(gf, cell))
-    return InterpResult(float(ev.values[0]), cell, table, ev.base[0],
+    ind = None if ev.indicators is None else np.array(ev.indicators[0])
+    return InterpResult(float(ev.values[0]), CellIndex(tuple(ev.cells[0])), ind, ev.base[0],
                         linear_fallback=bool(ev.fallback[0]), neville=ev.state)
-
-
-def interpolate_1d(
-    gf: GridFunction,
-    x_star: float,
-    params: WenoParams,
-    capture: bool = False,
-    smoothness_override: np.ndarray | None = None,
-) -> InterpResult:
-    """1-D convenience wrapper around interpolate_nd."""
-    if gf.grid.ndim != 1:
-        raise WenoError(f"interpolate_1d needs 1-D data, got {gf.grid.ndim}-D")
-    return interpolate_nd(gf, [x_star], params, capture, smoothness_override)

@@ -1,18 +1,18 @@
 """Independent scalar reference for the WENO engine, used only by the tests.
 
-One query point at a time, the plain way: Neville evaluation of each
-sub-stencil block, a dict-keyed Aitken-Neville recursion over index tuples,
+One query point at a time, the plain way: each sub-stencil block sliced
+from the grid function and evaluated by Neville's recurrence, a dict-keyed
+Aitken-Neville recursion over index tuples with its own scalar pair weights,
 the classical and linear methods as separate branches, and a scalar
 normalization. It shares with pweno only what its own tests pin
-independently: cell location (test_grid), the sub-stencil block lookup
-resolve_stencil (the basis-product oracle in test_stencil), the indicator
-table (sympy and polyfit oracles in test_smoothness), the pair and optimal
-weights (closed forms and path enumeration in test_weights) and WenoParams'
-eps and t (test_weno). It shares none of the engine's gather, base values,
-recursion or normalization.
+independently: cell location (test_grid), the indicator tables (sympy and
+polyfit oracles in test_smoothness), the classical optimal weights (closed
+forms and path enumeration in test_weights) and WenoParams' eps and t
+(test_weno). It shares none of the engine's gather, base values, pair
+weights, recursion or normalization.
 
 Also here: the smoothness indicator by its definition, through numpy's
-polynomial routines and nothing of pweno.stencil; the closed-form midpoint
+polynomial routines and nothing of pweno.smoothness; the closed-form midpoint
 weights and the small helpers that only the tests use.
 """
 from __future__ import annotations
@@ -24,16 +24,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from pweno.grid import CellIndex, GridFunction, locate_cell
-from pweno.smoothness import SmoothnessError, SmoothnessTable, build_table
-from pweno.stencil import Stencil1D, StencilError, StencilND, resolve_stencil
-from pweno.weights import (
-    OptimalWeights,
-    WeightError,
-    WeightPair,
-    classical_optimal_general,
-    weight_pair_general,
-)
+from pweno.grid import CellIndex, GridFunction, InsufficientStencilError, locate_cell
+from pweno.smoothness import indicator_tables
+from pweno.weights import classical_optimal_general
 from pweno.weno import WenoParams
 
 
@@ -58,27 +51,31 @@ def lagrange_eval_1d(nodes, values, x_star: float) -> float:
     nodes = np.asarray(nodes, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if nodes.ndim != 1 or nodes.shape != values.shape:
-        raise StencilError("nodes and values must be 1-D and of equal length >= 1")
+        raise ValueError("nodes and values must be 1-D and of equal length >= 1")
     if nodes.size < 1:
-        raise StencilError("need at least one node")
+        raise ValueError("need at least one node")
     if np.unique(nodes).size != nodes.size:
-        raise StencilError("duplicate interpolation nodes")
+        raise ValueError("duplicate interpolation nodes")
     return float(_neville_last_axis(nodes, values, float(x_star)))
 
 
-def tensor_lagrange_eval(gf: GridFunction, stencil: StencilND, x_star) -> float:
-    """Tensor-product Lagrange interpolant of gf on a stencil, at x_star.
+def tensor_lagrange_eval(gf: GridFunction, starts, width: int, x_star) -> float:
+    """Tensor-product Lagrange interpolant of gf at x_star on the stencil of
+    width nodes per axis from node starts[j] on axis j.
 
     Axes are collapsed one at a time (last axis first); equivalent to the flat
-    product-basis sum but O((m+1)^n) instead of O((m+1)^{2n}).
+    product-basis sum but O(width^n) instead of O(width^{2n}).
     """
     x_star = np.atleast_1d(np.asarray(x_star, dtype=np.float64))
-    node_lists, block = resolve_stencil(gf, stencil)
-    if x_star.size != len(node_lists):
-        raise StencilError("query dimension does not match stencil")
-    out = block
-    for axis in range(len(node_lists) - 1, -1, -1):
-        out = _neville_last_axis(node_lists[axis], out, float(x_star[axis]))
+    if x_star.size != gf.grid.ndim or len(starts) != gf.grid.ndim:
+        raise ValueError("query and stencil need one entry per axis of the data")
+    spans = [slice(s, s + width) for s in starts]
+    if any(s < 0 or s + width > ax.nodes.size for s, ax in zip(starts, gf.grid.axes)):
+        raise InsufficientStencilError(f"stencil from {tuple(starts)} leaves the grid")
+    out = gf.values[tuple(spans)]
+    for axis in range(gf.grid.ndim - 1, -1, -1):
+        nodes = gf.grid.axes[axis].nodes[spans[axis]]
+        out = _neville_last_axis(nodes, out, float(x_star[axis]))
     return float(out)
 
 
@@ -128,22 +125,29 @@ def indicator_definition(node_lists, block, bounds, hs) -> float:
 
 # --- closed forms and small helpers ----------------------------------------
 
-def midpoint_weight_pair(r: int, l: int, k: int) -> WeightPair:
-    """Closed-form pair weights for uniform spacing at the cell midpoint."""
+def pair_weights(window, l: int, j: int, x: float) -> tuple[float, float]:
+    """Affine pair weights (c_keep, c_shift) of node j at level l."""
+    c_keep = (x - window[j + l + 1]) / (window[j] - window[j + l + 1])
+    return float(c_keep), float(1.0 - c_keep)
+
+
+def midpoint_weight_pair(r: int, l: int, k: int) -> tuple[float, float]:
+    """Closed-form pair weights (c_keep, c_shift) for uniform spacing at the
+    cell midpoint."""
     if not r <= l <= 2 * r - 2:
-        raise WeightError(f"level l={l} out of range [{r}, {2 * r - 2}]")
+        raise ValueError(f"level l={l} out of range [{r}, {2 * r - 2}]")
     if not 0 <= k <= 2 * r - 2 - l:
-        raise WeightError(f"index k={k} out of range [0, {2 * r - 2 - l}] at level {l}")
+        raise ValueError(f"index k={k} out of range [0, {2 * r - 2 - l}] at level {l}")
     c_keep = (2 * (l - r + k + 1) + 1) / (2 * (l + 1))
-    return WeightPair(float(c_keep), float(1.0 - c_keep))
+    return float(c_keep), float(1.0 - c_keep)
 
 
-def classical_optimal_midpoint(r: int) -> OptimalWeights:
+def classical_optimal_midpoint(r: int) -> np.ndarray:
     """C^r_k = binom(2r, 2k+1) / 2^(2r-1), k = 0..r-1."""
     if r < 1:
-        raise WeightError(f"need r >= 1, got {r}")
+        raise ValueError(f"need r >= 1, got {r}")
     c = np.array([comb(2 * r, 2 * k + 1) for k in range(r)], dtype=np.float64)
-    return OptimalWeights(c / 2.0 ** (2 * r - 1))
+    return c / 2.0 ** (2 * r - 1)
 
 
 def tensor_weight(per_axis) -> float:
@@ -154,24 +158,25 @@ def tensor_weight(per_axis) -> float:
     return out
 
 
-def level_lookup(table: SmoothnessTable, l: int, k, v) -> float:
-    """Level-l indicator: I^l_{k,k+v} = I^r_{k + (l-(r-1))*v}."""
-    r = table.r
+def level_lookup(entries: np.ndarray, l: int, k, v) -> float:
+    """Level-l indicator from the level-r table entries (shape (r,)*n):
+    I^l_{k,k+v} = I^r_{k + (l-(r-1))*v}."""
+    r, ndim = entries.shape[0], entries.ndim
     k = tuple(int(c) for c in np.atleast_1d(k))
     v = tuple(int(c) for c in np.atleast_1d(v))
-    if len(k) != table.ndim or len(v) != table.ndim:
-        raise SmoothnessError("k and v must have one component per axis")
+    if len(k) != ndim or len(v) != ndim:
+        raise ValueError("k and v must have one component per axis")
     if not r <= l <= 2 * r - 2:
-        raise SmoothnessError(f"level l={l} out of range [{r}, {2 * r - 2}]")
+        raise ValueError(f"level l={l} out of range [{r}, {2 * r - 2}]")
     shift = l - (r - 1)
     idx = []
     for kj, vj in zip(k, v):
         if not 0 <= kj <= 2 * r - 2 - l:
-            raise SmoothnessError(f"k component {kj} out of range at level {l}")
+            raise ValueError(f"k component {kj} out of range at level {l}")
         if vj not in (0, 1):
-            raise SmoothnessError("v components must be 0 or 1")
+            raise ValueError("v components must be 0 or 1")
         idx.append(kj + shift * vj)
-    return float(table.entries[tuple(idx)])
+    return float(entries[tuple(idx)])
 
 
 # --- the scalar engine ------------------------------------------------------
@@ -201,30 +206,27 @@ def reference_interpolate(gf: GridFunction, x_star, params: WenoParams,
     x_star = np.atleast_1d(np.asarray(x_star, dtype=np.float64))
     cell = locate_cell(gf.grid, x_star, r=r)
     windows = [gf.grid.axes[a].nodes[cell.i[a] - r : cell.i[a] + r] for a in range(n)]
+    first = [i - r for i in cell.i]
     base = np.empty((r,) * n)
     for k in product(range(r), repeat=n):
-        st = StencilND(tuple(Stencil1D(i=cell.i[a], r=r, k=k[a], m=r) for a in range(n)))
-        base[k] = tensor_lagrange_eval(gf, st, x_star)
+        base[k] = tensor_lagrange_eval(gf, [f + kk for f, kk in zip(first, k)], r + 1, x_star)
 
     if params.method == "linear":
-        st = StencilND(tuple(Stencil1D(i=cell.i[a], r=r, k=0, m=2 * r - 1) for a in range(n)))
-        return Reference(tensor_lagrange_eval(gf, st, x_star), cell, base, False, {}, {})
+        return Reference(tensor_lagrange_eval(gf, first, 2 * r, x_star), cell, base, False, {}, {})
 
     if smoothness_override is not None:
-        entries = np.broadcast_to(np.asarray(smoothness_override, dtype=np.float64), (r,) * n)
-        table = SmoothnessTable(r=r, ndim=n, entries=np.array(entries),
-                                cell_bounds=((0.0, 1.0),) * n)
+        table = np.broadcast_to(np.asarray(smoothness_override, dtype=np.float64), (r,) * n)
     else:
-        table = build_table(gf, cell, r, params.indicator)
+        table = indicator_tables(gf, np.array([cell.i]), r)[0]
     eps = params.resolve_eps(gf.grid)
     t = params.resolve_t()
 
     if params.method == "classical":
-        per_axis = [classical_optimal_general(windows[a], float(x_star[a])).c for a in range(n)]
+        per_axis = [classical_optimal_general(windows[a], float(x_star[a])) for a in range(n)]
         C = per_axis[0]
         for a in range(1, n):
             C = np.multiply.outer(C, per_axis[a])
-        omega, fell_back = _normalize(C, table.entries, eps, t)
+        omega, fell_back = _normalize(C, table, eps, t)
         return Reference(float(np.sum(omega * base)), cell, base, fell_back, {}, {})
 
     vlist = list(product((0, 1), repeat=n))  # lexicographic
@@ -235,11 +237,8 @@ def reference_interpolate(gf: GridFunction, x_star, params: WenoParams,
     for l in range(r, 2 * r - 1):
         nxt = {}
         for j in product(range(2 * r - 1 - l), repeat=n):
-            pairs = [weight_pair_general(windows[a], l, j[a], float(x_star[a])) for a in range(n)]
-            C = np.array([
-                tensor_weight([(p.c_keep if va == 0 else p.c_shift) for p, va in zip(pairs, v)])
-                for v in vlist
-            ])
+            pairs = [pair_weights(windows[a], l, j[a], float(x_star[a])) for a in range(n)]
+            C = np.array([tensor_weight([p[va] for p, va in zip(pairs, v)]) for v in vlist])
             I = np.array([level_lookup(table, l, j, v) for v in vlist])
             omega, bad = _normalize(C, I, eps, t)
             fell_back = fell_back or bad

@@ -18,15 +18,14 @@ from pweno.bench import (
     run_refinement_2d,
 )
 from pweno.cli import main
+from pweno import smoothness
 from pweno.grid import (
-    CellIndex,
     GridFunction,
     TensorGrid,
     build_random_grid,
     build_uniform_grid,
 )
-from pweno.smoothness import IndicatorParams, build_table, smoothness_indicator
-from pweno.stencil import Stencil1D, StencilND
+from pweno.smoothness import gauss_rule, indicator_tables
 from pweno.testfunctions import get_test_function
 from pweno.weno import WenoParams, interpolate_nd
 
@@ -236,17 +235,16 @@ def test_criterion_07_discontinuity_bands_2d():
     announce(7, "2-D diagonal-jump bands match the expected ladder", failures)
 
 
-def test_criterion_08_indicator_properties():
+def test_criterion_08_indicator_properties(monkeypatch):
     t0 = time.time()
     failures = []
-    params = IndicatorParams()
 
     def table_series(fn, r, sizes):
         out = []
         for J in sizes:
             g = build_uniform_grid(0.0, 1.0, J)
             gf = GridFunction.from_callable(TensorGrid((g,)), fn)
-            out.append(build_table(gf, CellIndex((J // 2,)), r, params).entries)
+            out.append(indicator_tables(gf, np.array([[J // 2]]), r)[0])
         return np.array(out)
 
     for r in (2, 3, 4):
@@ -274,9 +272,7 @@ def test_criterion_08_indicator_properties():
             g = build_uniform_grid(0.0, 1.0, J)
             gf = GridFunction.from_callable(
                 TensorGrid((g,)), lambda x: (x >= 0.5 - 1e-12).astype(float))
-            st = StencilND((Stencil1D(i=J // 2, r=r, k=0, m=r),))
-            step_vals.append(smoothness_indicator(gf, st, CellIndex((J // 2,)),
-                                                  params))
+            step_vals.append(indicator_tables(gf, np.array([[J // 2]]), r)[0, 0])
         if step_vals[-1] < 0.5 * step_vals[0]:
             failures.append(f"P3 r={r} decayed: {step_vals[0]:.3g} -> "
                             f"{step_vals[-1]:.3g}")
@@ -284,10 +280,10 @@ def test_criterion_08_indicator_properties():
         g = build_random_grid(0.0, 1.0, 16, seed=5 + r)
         gf = GridFunction.from_callable(TensorGrid((g,)),
                                         lambda x: np.sin(3 * x) + x**3)
-        st = StencilND((Stencil1D(i=8, r=r, k=1, m=r),))
-        cell = CellIndex((8,))
-        base = smoothness_indicator(gf, st, cell, params)
-        fine = smoothness_indicator(gf, st, cell, IndicatorParams(q=2 * (r + 1)))
+        base = indicator_tables(gf, np.array([[8]]), r)[0, 1]
+        with monkeypatch.context() as patch:   # the rule of 2(r+1) points
+            patch.setattr(smoothness, "gauss_rule", lambda q: gauss_rule(2 * q))
+            fine = indicator_tables(gf, np.array([[8]]), r)[0, 1]
         if abs(fine - base) > 1e-12 * abs(base):
             failures.append(f"quadrature doubling r={r} moved the value")
     elapsed = time.time() - t0

@@ -164,6 +164,30 @@ class TestInterp:
         assert main(["interp", "--data", str(data), "--query", str(query)]) == 2
         assert "mesh width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, query", [
+        (5, [0.5]),
+        ("axes", [0.5]),
+        ({"axes": 5, "values": [1.0, 2.0]}, [0.5]),
+        ({"axes": None}, [0.5]),
+        ({"axes": [["a", "b"]], "values": [1.0, 2.0]}, [0.5]),
+        ({"axes": [[0.0, 1.0]], "values": {"v": 1}}, [0.5]),
+        (None, {"a": 0.5}),
+        (None, [{"a": 1}]),
+    ], ids=["data-number", "data-string", "axes-number", "axes-null", "axes-strings",
+            "values-object", "query-object", "query-objects"])
+    def test_malformed_json_exits_2(self, tmp_path, capsys, data, query):
+        # wrong structure is a named error, never a traceback
+        if data is None:
+            data_path = write_linear_data(tmp_path)
+        else:
+            data_path = tmp_path / "bad.json"
+            data_path.write_text(json.dumps(data), encoding="utf-8")
+        query_path = write_query(tmp_path, query)
+        assert main(["interp", "--data", str(data_path), "--query", str(query_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_out_of_window_query_exits_2(self, tmp_path, capsys):
         data = write_linear_data(tmp_path)
         query = write_query(tmp_path, [0.01])

@@ -8,26 +8,19 @@ from numpy.polynomial import polynomial as P
 import pweno
 from pweno import smoothness
 from pweno.grid import (
-    CellIndex,
     Grid1D,
     GridFunction,
     TensorGrid,
     build_random_grid,
     build_uniform_grid,
 )
-from pweno.smoothness import (
-    IndicatorParams,
-    SmoothnessError,
-    SmoothnessTable,
-    build_table,
-    gauss_rule,
-    indicator_tables,
-    smoothness_indicator,
-)
-from pweno.stencil import Stencil1D, StencilND
+from pweno.smoothness import gauss_rule, indicator_tables
 from reference import indicator_definition, level_lookup
 
-PARAMS = IndicatorParams()
+
+def indicator(gf, cell, r, k):
+    """Indicator of base sub-stencil k around one cell."""
+    return indicator_tables(gf, np.array([cell]), r)[(0,) + tuple(np.atleast_1d(k))]
 
 
 def indicator_oracle_1d(nodes, values, a, b, h, r):
@@ -50,8 +43,7 @@ class TestIndicator1D:
     def test_constant_is_zero(self):
         g = build_random_grid(0, 1, 12, seed=0)
         gf = make_gf_1d(g, lambda x: np.full_like(x, 3.7))
-        st = StencilND((Stencil1D(i=6, r=3, k=1, m=3),))
-        assert smoothness_indicator(gf, st, CellIndex((6,)), PARAMS) == 0.0
+        assert indicator(gf, (6,), 3, 1) == 0.0
 
     def test_linear_on_uniform_is_h_squared(self):
         for r in (1, 2, 3, 4):
@@ -59,8 +51,7 @@ class TestIndicator1D:
                 g = build_uniform_grid(0, 1, J)
                 gf = make_gf_1d(g, lambda x: x)
                 i = J // 2
-                st = StencilND((Stencil1D(i=i, r=r, k=0, m=r),))
-                got = smoothness_indicator(gf, st, CellIndex((i,)), PARAMS)
+                got = indicator(gf, (i,), r, 0)
                 assert got == pytest.approx((1.0 / J) ** 2, rel=1e-12)
 
     def test_matches_definition_oracle(self):
@@ -71,8 +62,7 @@ class TestIndicator1D:
                 gf = GridFunction(TensorGrid((g,)), rng.normal(size=15))
                 i = 7
                 k = int(rng.integers(0, r))
-                st = StencilND((Stencil1D(i=i, r=r, k=k, m=r),))
-                got = smoothness_indicator(gf, st, CellIndex((i,)), PARAMS)
+                got = indicator(gf, (i,), r, k)
                 sub = g.nodes[i - r + k : i - r + k + r + 1]
                 v = gf.values[i - r + k : i - r + k + r + 1]
                 want = indicator_oracle_1d(sub, v, g.nodes[i - 1], g.nodes[i],
@@ -83,62 +73,20 @@ class TestIndicator1D:
         g = build_random_grid(0, 1, 12, seed=9)
         rng = np.random.default_rng(10)
         v = rng.normal(size=13)
-        st = StencilND((Stencil1D(i=6, r=3, k=2, m=3),))
-        cell = CellIndex((6,))
-        base = smoothness_indicator(GridFunction(TensorGrid((g,)), v), st, cell, PARAMS)
-        quad = smoothness_indicator(GridFunction(TensorGrid((g,)), 4.0 * v), st, cell, PARAMS)
+        base = indicator(GridFunction(TensorGrid((g,)), v), (6,), 3, 2)
+        quad = indicator(GridFunction(TensorGrid((g,)), 4.0 * v), (6,), 3, 2)
         assert quad == 16.0 * base   # power-of-two scale: exact
-        odd = smoothness_indicator(GridFunction(TensorGrid((g,)), 3.7 * v), st, cell, PARAMS)
+        odd = indicator(GridFunction(TensorGrid((g,)), 3.7 * v), (6,), 3, 2)
         assert odd == pytest.approx(3.7**2 * base, rel=1e-12)
 
-    def test_quadrature_doubling_invariance(self):
+    def test_quadrature_doubling_invariance(self, monkeypatch):
         g = build_random_grid(0, 1, 12, seed=17)
         rng = np.random.default_rng(18)
         gf = GridFunction(TensorGrid((g,)), rng.normal(size=13))
-        st = StencilND((Stencil1D(i=6, r=3, k=0, m=3),))
-        cell = CellIndex((6,))
-        a = smoothness_indicator(gf, st, cell, IndicatorParams(q=4))
-        b = smoothness_indicator(gf, st, cell, IndicatorParams(q=8))
+        a = indicator(gf, (6,), 3, 0)
+        monkeypatch.setattr(smoothness, "gauss_rule", lambda q: gauss_rule(2 * q))
+        b = indicator(gf, (6,), 3, 0)
         assert b == pytest.approx(a, rel=1e-12)
-
-    def test_width_must_match_r(self):
-        g = build_uniform_grid(0, 1, 10)
-        gf = make_gf_1d(g, np.sin)
-        with pytest.raises(SmoothnessError):
-            smoothness_indicator(
-                gf,
-                StencilND((Stencil1D(i=5, r=3, k=0, m=2),)),
-                CellIndex((5,)),
-                PARAMS,
-            )
-
-    def test_q_too_small(self):
-        with pytest.raises(SmoothnessError):
-            IndicatorParams(q=3).resolve_q(3)
-        assert IndicatorParams().resolve_q(3) == 4
-
-    @pytest.mark.parametrize("q", [4.5, True, "4", 0])
-    def test_q_must_be_a_positive_integer(self, q):
-        with pytest.raises(SmoothnessError, match=repr(q)):
-            IndicatorParams(q=q)
-
-    def test_q_accepts_numpy_integer(self):
-        assert IndicatorParams(q=np.int64(5)).resolve_q(3) == 5
-
-    def test_local_h_option(self):
-        # widest gap sits outside the sub-stencil, so the two h choices differ
-        g = Grid1D(np.concatenate([np.linspace(0, 0.6, 12), [1.0]]))
-        gf = make_gf_1d(g, lambda x: np.sin(3 * x))
-        st = StencilND((Stencil1D(i=6, r=3, k=0, m=3),))
-        cell = CellIndex((6,))
-        global_h = smoothness_indicator(gf, st, cell, IndicatorParams())
-        local_h = smoothness_indicator(gf, st, cell, IndicatorParams(local_h=True))
-        assert global_h != local_h
-        gu = build_uniform_grid(0, 1, 12)
-        gfu = make_gf_1d(gu, lambda x: np.sin(3 * x))
-        assert smoothness_indicator(gfu, st, cell, IndicatorParams()) == pytest.approx(
-            smoothness_indicator(gfu, st, cell, IndicatorParams(local_h=True)), rel=1e-13)
-
 
 class TestIndicator2D:
     def test_matches_definition_oracle(self):
@@ -150,9 +98,7 @@ class TestIndicator2D:
         vals = rng.normal(size=(9, 9))
         gf = GridFunction(TensorGrid((gx, gy)), vals)
         i1, i2, k1, k2 = 4, 5, 1, 0
-        st = StencilND((Stencil1D(i=i1, r=r, k=k1, m=r), Stencil1D(i=i2, r=r, k=k2, m=r)))
-        cell = CellIndex((i1, i2))
-        got = smoothness_indicator(gf, st, cell, PARAMS)
+        got = indicator(gf, (i1, i2), r, (k1, k2))
 
         x, y = sp.symbols("x y")
         nx = gx.nodes[i1 - r + k1 : i1 - r + k1 + r + 1]
@@ -184,37 +130,13 @@ class TestIndicator2D:
                 total += h1 ** (2 * l1 - 1) * h2 ** (2 * l2 - 1) * inner
         assert got == pytest.approx(max(float(total), 0.0), rel=1e-8)
 
-    def test_table_matches_pointwise_indicator(self):
-        r = 3
-        gx = build_random_grid(0, 1, 12, seed=41)
-        gy = build_random_grid(0, 2, 12, seed=42)
-        rng = np.random.default_rng(43)
-        gf = GridFunction(TensorGrid((gx, gy)), rng.normal(size=(13, 13)))
-        cell = CellIndex((6, 6))
-        table = build_table(gf, cell, r, PARAMS)
-        assert table.entries.shape == (3, 3)
-        for k1 in range(r):
-            for k2 in range(r):
-                st = StencilND((Stencil1D(i=6, r=r, k=k1, m=r),
-                                Stencil1D(i=6, r=r, k=k2, m=r)))
-                direct = smoothness_indicator(gf, st, cell, PARAMS)
-                assert table.entries[k1, k2] == pytest.approx(direct, rel=1e-12, abs=1e-15)
-
-    def test_table_window_check(self):
-        gf = GridFunction.from_callable(
-            TensorGrid((build_uniform_grid(0, 1, 8), build_uniform_grid(0, 1, 8))),
-            lambda x, y: x + y)
-        with pytest.raises(SmoothnessError):
-            build_table(gf, CellIndex((1, 4)), 3, PARAMS)
-
-
 class TestRefinementProperties:
     def refine_series(self, fn, r, levels=(32, 64, 128, 256, 512)):
         tables = []
         for J in levels:
             g = build_uniform_grid(0, 1, J)
             gf = make_gf_1d(g, fn)
-            tables.append(build_table(gf, CellIndex((J // 2,)), r, PARAMS).entries)
+            tables.append(indicator_tables(gf, np.array([[J // 2]]), r)[0])
         return np.array(tables)
 
     def test_smooth_entries_shrink_by_four(self):
@@ -244,45 +166,34 @@ class TestRefinementProperties:
             g = build_uniform_grid(0, 1, J)
             gf = make_gf_1d(g, lambda x: (x >= 0.5 - 1e-12).astype(float))
             i = J // 2
-            st = StencilND((Stencil1D(i=i, r=r, k=0, m=r),))
-            values.append(smoothness_indicator(gf, st, CellIndex((i,)), PARAMS))
+            values.append(indicator(gf, (i,), r, 0))
         values = np.array(values)
         assert (values > 0.01).all()
         assert values[-1] >= 0.5 * values[0]
 
 
 class TestLevelLookup:
-    def table_1d(self, entries):
-        return SmoothnessTable(r=len(entries), ndim=1, entries=np.array(entries),
-                               cell_bounds=((0.0, 1.0),))
-
     def test_examples(self):
-        t = self.table_1d([10.0, 20.0, 30.0])
+        t = np.array([10.0, 20.0, 30.0])
         assert level_lookup(t, 4, 0, 1) == 30.0       # I^3_{0+ (4-2)*1}
         assert level_lookup(t, 3, 1, 0) == 20.0       # v = 0 keeps k
         assert level_lookup(t, 3, 0, 1) == 20.0
         e2 = np.arange(9.0).reshape(3, 3)
-        t2 = SmoothnessTable(r=3, ndim=2, entries=e2,
-                             cell_bounds=((0.0, 1.0), (0.0, 1.0)))
-        assert level_lookup(t2, 4, (0, 0), (1, 0)) == e2[2, 0]
-        assert level_lookup(t2, 3, (1, 1), (1, 1)) == e2[2, 2]
+        assert level_lookup(e2, 4, (0, 0), (1, 0)) == e2[2, 0]
+        assert level_lookup(e2, 3, (1, 1), (1, 1)) == e2[2, 2]
 
     def test_validation(self):
-        t = self.table_1d([1.0, 2.0, 3.0])
-        with pytest.raises(SmoothnessError):
+        t = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
             level_lookup(t, 2, 0, 1)       # l < r
-        with pytest.raises(SmoothnessError):
+        with pytest.raises(ValueError):
             level_lookup(t, 5, 0, 1)       # l > 2r-2
-        with pytest.raises(SmoothnessError):
+        with pytest.raises(ValueError):
             level_lookup(t, 4, 1, 0)       # k > 2r-2-l
-        with pytest.raises(SmoothnessError):
+        with pytest.raises(ValueError):
             level_lookup(t, 3, 0, 2)       # v not in {0,1}
-        with pytest.raises(SmoothnessError):
+        with pytest.raises(ValueError):
             level_lookup(t, 3, (0, 0), (1, 0))   # wrong dimension
-
-    def test_shape_validation(self):
-        with pytest.raises(SmoothnessError):
-            SmoothnessTable(r=3, ndim=1, entries=np.zeros(4), cell_bounds=((0, 1),))
 
 
 def test_gauss_rule_integrates_polynomials():
@@ -311,7 +222,7 @@ def table_cases(draw):
     gf = GridFunction(grid, rng.normal(size=grid.shape))
     ncells = int(rng.integers(1, 4 if n == 3 else 9))
     cells = rng.integers(r, J - r + 2, size=(ncells, n))
-    return gf, cells, r, draw(st.booleans())
+    return gf, cells, r
 
 
 class TestIndicatorTables:
@@ -319,8 +230,8 @@ class TestIndicatorTables:
     @settings(max_examples=60, deadline=None)
     def test_matches_definition(self, case):
         # many cells per call, repeats included, against the polyfit route
-        gf, cells, r, local_h = case
-        tables = indicator_tables(gf, cells, r, IndicatorParams(local_h=local_h))
+        gf, cells, r = case
+        tables = indicator_tables(gf, cells, r)
         axes = gf.grid.axes
         for cell, table in zip(cells, tables):
             for k in np.ndindex(*(r,) * gf.grid.ndim):
@@ -328,7 +239,7 @@ class TestIndicatorTables:
                 block = gf.values[tuple(slice(i - r + kk, i + kk + 1)
                                         for i, kk in zip(cell, k))]
                 bounds = [(ax.nodes[i - 1], ax.nodes[i]) for ax, i in zip(axes, cell)]
-                hs = [np.diff(nd).max() if local_h else ax.h_max for nd, ax in zip(subs, axes)]
+                hs = [ax.h_max for ax in axes]
                 want = indicator_definition(subs, block, bounds, hs)
                 assert table[k] == pytest.approx(want, rel=1e-9)
 
@@ -346,7 +257,7 @@ class TestIndicatorTables:
 
         def tables(k):
             grid = TensorGrid(tuple(Grid1D(2.0 ** kk * nd) for kk, nd in zip(k, base)))
-            return indicator_tables(GridFunction(grid, values), cells, r, IndicatorParams())
+            return indicator_tables(GridFunction(grid, values), cells, r)
 
         scaled = tables(ks[:n])
         assert np.isfinite(scaled).all()
@@ -363,16 +274,13 @@ class TestIndicatorTables:
         gf = GridFunction(grid, rng.normal(size=grid.shape))
         cells = np.unique(rng.integers(r, 14 - r + 2, size=(400, n)), axis=0)[:50]
         assert cells.shape[0] == 50
-        full = indicator_tables(gf, cells, r, PARAMS)
+        full = indicator_tables(gf, cells, r)
         monkeypatch.setattr(smoothness, "_CHUNK_BYTES", 7 * 8 * ((r + 1) ** 2) ** n)
-        chunked = indicator_tables(gf, cells, r, PARAMS)
+        chunked = indicator_tables(gf, cells, r)
         np.testing.assert_array_equal(chunked, full)
         for cell, table in zip(cells, chunked):
-            for k in np.ndindex(*(r,) * n):
-                st_ = StencilND(tuple(Stencil1D(i=int(i), r=r, k=kk, m=r)
-                                      for i, kk in zip(cell, k)))
-                one = smoothness_indicator(gf, st_, CellIndex(tuple(cell)), PARAMS)
-                assert one == pytest.approx(table[k], rel=1e-12, abs=1e-15)
+            one = indicator_tables(gf, cell[None], r)[0]
+            assert one == pytest.approx(table, rel=1e-12, abs=1e-15)
 
 
 class TestBatchedBuild:

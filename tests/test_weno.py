@@ -1,10 +1,13 @@
+import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pweno import smoothness
 from pweno.batch import interpolate_batch
 from pweno.grid import (
     Grid1D,
@@ -15,13 +18,12 @@ from pweno.grid import (
     build_random_grid,
     build_uniform_grid,
 )
-from pweno.weights import weight_pair_general
+from pweno.weights import pair_keep
 from pweno.weno import (
     DiagnosticsNotCaptured,
     WenoError,
     WenoParams,
     capture_diagnostics,
-    interpolate_1d,
     interpolate_nd,
     nonlinear_pair,
 )
@@ -158,14 +160,33 @@ class TestLinearLimit:
         gf = random_gf(1, 14, seed=3)
         x = 0.5 * (gf.grid.axes[0].nodes[6] + gf.grid.axes[0].nodes[7])
         params = WenoParams(r=3)
-        res = interpolate_1d(gf, x, params, capture=True,
+        res = interpolate_nd(gf, x, params, capture=True,
                              smoothness_override=np.zeros(3))
         state = capture_diagnostics(res)
         window = gf.grid.axes[0].nodes[4:10]
         for (l, j), wmap in state.weights.items():
-            pair = weight_pair_general(window, l, j[0], x)
-            assert wmap[(0,)] == pytest.approx(pair.c_keep, abs=1e-14)
-            assert wmap[(1,)] == pytest.approx(pair.c_shift, abs=1e-14)
+            c_keep = pair_keep(window, x, l, np.array(j))[0]
+            assert wmap[(0,)] == pytest.approx(c_keep, abs=1e-14)
+            assert wmap[(1,)] == pytest.approx(1.0 - c_keep, abs=1e-14)
+
+    def test_linear_method_builds_no_indicators(self, monkeypatch):
+        calls = []
+        real = smoothness.derivative_samples
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(smoothness, "derivative_samples", counting)
+        for n in (1, 2):
+            gf = random_gf(n, 12, seed=n)
+            x = [0.5 * (ax.nodes[5] + ax.nodes[6]) for ax in gf.grid.axes]
+            assert interpolate_nd(gf, x, WenoParams(r=3, method="linear")).indicators is None
+            assert calls == []
+            # the counter is live: the progressive method samples once per axis
+            assert interpolate_nd(gf, x, WenoParams(r=3)).indicators.shape == (3,) * n
+            assert len(calls) == n
+            calls.clear()
 
 
 class TestPolynomialReproduction:
@@ -204,7 +225,7 @@ class TestStepData:
         cut = 0.5 * (g.nodes[i] + g.nodes[i + 1])  # jump one cell right of center
         gf = self.step_gf(J, cut)
         x = 0.5 * (g.nodes[i - 1] + g.nodes[i])
-        res = interpolate_1d(gf, x, WenoParams(r=r))
+        res = interpolate_nd(gf, x, WenoParams(r=r))
         assert abs(res.value) <= 1e-10   # left-side samples are all 0
 
     def test_contaminated_mass_bound(self):
@@ -218,11 +239,11 @@ class TestStepData:
             cut = 0.5 * (g.nodes[i + l0 - 1] + g.nodes[i + l0])
             gf = self.step_gf(J, cut)
             x = 0.5 * (g.nodes[i - 1] + g.nodes[i])
-            res = interpolate_1d(gf, x, params, capture=True)
+            res = interpolate_nd(gf, x, params, capture=True)
             masses = effective_masses(capture_diagnostics(res))
             contaminated = [k for k in range(r) if i + k >= i + l0]
             mass = sum(masses[(k,)] for k in contaminated)
-            i_min = min(res.table.entries[k] for k in contaminated)
+            i_min = min(res.indicators[k] for k in contaminated)
             eps = params.resolve_eps(gf.grid)
             bound = 10.0 * (eps / i_min) ** params.resolve_t()
             assert mass <= bound
@@ -243,7 +264,7 @@ class TestDiagnostics:
     def test_triangle_shape_and_seed_values(self):
         gf = random_gf(1, 14, seed=21)
         x = 0.5 * (gf.grid.axes[0].nodes[6] + gf.grid.axes[0].nodes[7])
-        res = interpolate_1d(gf, x, WenoParams(r=3), capture=True)
+        res = interpolate_nd(gf, x, WenoParams(r=3), capture=True)
         state = capture_diagnostics(res)
         assert [len(state.values[l]) for l in (3, 4, 5)] == [3, 2, 1]
         for k in range(3):
@@ -271,24 +292,24 @@ class TestDiagnostics:
                                             lambda x: np.sin(2 * x + 0.4))
             i = J // 2
             x = 0.5 * (g.nodes[i - 1] + g.nodes[i])
-            res = interpolate_1d(gf, x, WenoParams(r=r), capture=True)
+            res = interpolate_nd(gf, x, WenoParams(r=r), capture=True)
             state = capture_diagnostics(res)
             window = g.nodes[i - r : i + r]
             dev = 0.0
             for (l, j), wmap in state.weights.items():
-                pair = weight_pair_general(window, l, j[0], x)
-                dev = max(dev, abs(wmap[(0,)] - pair.c_keep),
-                          abs(wmap[(1,)] - pair.c_shift))
+                c_keep = pair_keep(window, x, l, np.array(j))[0]
+                dev = max(dev, abs(wmap[(0,)] - c_keep),
+                          abs(wmap[(1,)] - (1.0 - c_keep)))
             devs.append(dev)
         assert devs[0] / devs[1] >= 2.0 ** (r - 2)
 
     def test_not_captured_raises(self):
         gf = random_gf(1, 14, seed=2)
         x = 0.5 * (gf.grid.axes[0].nodes[6] + gf.grid.axes[0].nodes[7])
-        res = interpolate_1d(gf, x, WenoParams(r=3))
+        res = interpolate_nd(gf, x, WenoParams(r=3))
         with pytest.raises(DiagnosticsNotCaptured):
             capture_diagnostics(res)
-        res = interpolate_1d(gf, x, WenoParams(r=3, method="classical"), capture=True)
+        res = interpolate_nd(gf, x, WenoParams(r=3, method="classical"), capture=True)
         with pytest.raises(DiagnosticsNotCaptured):
             capture_diagnostics(res)
 
@@ -310,12 +331,12 @@ class TestTwoDimensional:
         with pytest.raises(WenoError):
             interpolate_nd(gf, [0.5], WenoParams(r=3))
         with pytest.raises(WenoError):
-            interpolate_1d(gf, 0.5, WenoParams(r=3))
+            interpolate_nd(gf, 0.5, WenoParams(r=3))
 
     def test_window_violation(self):
         gf = random_gf(1, 10, seed=1)
         with pytest.raises(InsufficientStencilError):
-            interpolate_1d(gf, float(gf.grid.axes[0].nodes[1]) - 1e-9, WenoParams(r=3))
+            interpolate_nd(gf, float(gf.grid.axes[0].nodes[1]) - 1e-9, WenoParams(r=3))
 
 
 class TestFallback:
@@ -328,15 +349,15 @@ class TestFallback:
         gf = self.overflow_gf()
         x = 0.5 * (gf.grid.axes[0].nodes[7] + gf.grid.axes[0].nodes[8])
         for method in ("progressive", "classical"):
-            res = interpolate_1d(gf, x, WenoParams(r=3, method=method))
+            res = interpolate_nd(gf, x, WenoParams(r=3, method=method))
             assert res.linear_fallback
-            want = interpolate_1d(gf, x, WenoParams(r=3, method="linear")).value
+            want = interpolate_nd(gf, x, WenoParams(r=3, method="linear")).value
             assert res.value == pytest.approx(want, rel=1e-12)
 
     def test_smooth_data_does_not_fall_back(self):
         gf = random_gf(1, 14, seed=4, fn=lambda x: np.sin(x))
         x = 0.5 * (gf.grid.axes[0].nodes[6] + gf.grid.axes[0].nodes[7])
-        res = interpolate_1d(gf, x, WenoParams(r=3))
+        res = interpolate_nd(gf, x, WenoParams(r=3))
         assert not res.linear_fallback
 
 
@@ -452,6 +473,13 @@ class TestBatchEngine:
             interpolate_nd(gf, [np.nan], WenoParams(r=3))
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 1), ()])
+def test_wrong_shaped_points_raise_weno_error(shape):
+    gf = random_gf(1, 12, seed=9)
+    with pytest.raises(WenoError, match=r"points must have shape \(npts, 1\)"):
+        interpolate_batch(gf, np.full(shape, 0.5), WenoParams(r=3))
+
+
 @st.composite
 def engine_cases(draw):
     n = draw(st.integers(1, 3))
@@ -486,3 +514,13 @@ class TestEngineProperties:
                                                      np.abs(batch.base_max)))
             assert ((batch.base_min - pad <= batch.values)
                     & (batch.values <= batch.base_max + pad)).all()
+
+
+def test_readme_library_block_runs(capsys):
+    # the documented API must stay the real one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "(1000, 3)" in capsys.readouterr().out
