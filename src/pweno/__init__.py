@@ -23,17 +23,14 @@ from .grid import (
     build_perturbed_grid,
     build_random_grid,
     build_uniform_grid,
-    locate_cell,
     refine_dyadic,
 )
 from .testfunctions import TEST_FUNCTIONS, TestFunction, get_test_function
 from .weno import (
-    DiagnosticsNotCaptured,
     InterpResult,
     NevilleState,
     WenoError,
     WenoParams,
-    capture_diagnostics,
     interpolate_nd,
 )
 
@@ -45,7 +42,6 @@ __all__ = [
     "Bench2DConfig",
     "BenchConfigError",
     "CellIndex",
-    "DiagnosticsNotCaptured",
     "Grid1D",
     "GridError",
     "GridFunction",
@@ -63,12 +59,10 @@ __all__ = [
     "build_perturbed_grid",
     "build_random_grid",
     "build_uniform_grid",
-    "capture_diagnostics",
     "emit_report",
     "get_test_function",
     "interpolate_batch",
     "interpolate_nd",
-    "locate_cell",
     "refine_dyadic",
     "report_from_json",
     "run_refinement_1d",

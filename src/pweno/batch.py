@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction
-from .weno import WenoError, WenoParams, evaluate
+from .weno import WenoParams, _as_points, evaluate
 
 
 @dataclass
@@ -23,28 +23,12 @@ class BatchResult:
     fallback: np.ndarray
 
 
-def _as_points(points, ndim: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if ndim == 1 and pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != ndim:
-        raise WenoError(f"points must have shape (npts, {ndim}), got {pts.shape}")
-    return pts
+def interpolate_batch(gf: GridFunction, points, params: WenoParams) -> BatchResult:
+    """Evaluate many query points at once; each equals interpolate_nd's answer.
 
-
-def interpolate_batch(
-    gf: GridFunction,
-    points,
-    params: WenoParams,
-    smoothness_override: np.ndarray | None = None,
-) -> BatchResult:
-    """Evaluate many query points at once; each equals interpolate_nd's answer."""
-    n = gf.grid.ndim
-    pts = _as_points(points, n)
-    if pts.shape[0] == 0:
-        z = np.zeros(0)
-        return BatchResult(z, np.zeros((0, n), dtype=np.intp), z.copy(), z.copy(),
-                           np.zeros(0, dtype=bool))
-    ev = evaluate(gf, pts, params, smoothness_override)
-    base = ev.base.reshape(pts.shape[0], -1)
+    points has shape (npts, n), or (npts,) for 1-D data; npts may be 0.
+    """
+    pts = _as_points(points, gf.grid.ndim)
+    ev = evaluate(gf, pts, params)
+    base = ev.base.reshape(pts.shape[0], params.r ** gf.grid.ndim)
     return BatchResult(ev.values, ev.cells, base.min(axis=1), base.max(axis=1), ev.fallback)

@@ -6,8 +6,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .batch import interpolate_batch
 from .bench import (
     Bench1DConfig,
@@ -18,7 +16,7 @@ from .bench import (
     run_refinement_2d,
 )
 from .grid import GridFunction
-from .weno import METHODS, WenoError, WenoParams
+from .weno import METHODS, WenoParams, _as_points
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -86,17 +84,9 @@ def _cmd_interp(args) -> int:
     data = json.loads(Path(args.data).read_text(encoding="utf-8"))
     gf = GridFunction.from_dict(data)
     queries = json.loads(Path(args.query).read_text(encoding="utf-8"))
-    try:
-        pts = np.asarray(queries, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise WenoError("query JSON must be a list of numbers or of coordinate lists") from None
-    params = WenoParams(r=args.r, method=args.method)
-    res = interpolate_batch(gf, pts, params)
-    pts2 = pts[:, None] if pts.ndim == 1 else pts
-    out = [
-        {"point": [float(c) for c in pts2[p]], "value": float(res.values[p])}
-        for p in range(pts2.shape[0])
-    ]
+    pts = _as_points(queries, gf.grid.ndim)
+    res = interpolate_batch(gf, pts, WenoParams(r=args.r, method=args.method))
+    out = [{"point": p.tolist(), "value": float(v)} for p, v in zip(pts, res.values)]
     text = json.dumps(out, indent=2) + "\n"
     return _finish(text, args.out, args.strict, int(res.fallback.sum()))
 

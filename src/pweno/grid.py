@@ -24,11 +24,11 @@ class InsufficientStencilError(GridError):
 
 
 def _float_array(data, name: str) -> np.ndarray:
-    """A field of grid JSON as a float64 array, or GridError naming the field."""
+    """A grid field as a float64 array, or GridError naming the field."""
     try:
         return np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        raise GridError(f"grid JSON field {name!r} must hold numbers in nested lists") from None
+        raise GridError(f"grid field {name!r} must hold numbers in nested lists") from None
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,10 @@ class Grid1D:
     h_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.size < 2:
+        nodes = _float_array(self.nodes, "nodes")
+        if nodes.ndim != 1:
+            raise GridError(f"nodes must be a 1-D array, got shape {nodes.shape}")
+        if nodes.size < 2:
             raise GridError("grid needs at least 2 nodes on one axis")
         gaps = np.diff(nodes)
         if not np.all(gaps > 0.0):
@@ -288,10 +290,3 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
         cells[:, axis] = i
     return cells
 
-
-def locate_cell(grid: TensorGrid, x_star, r: int | None = None) -> CellIndex:
-    """Locate the central cell of one query point; optionally check a 2r window."""
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=np.float64))
-    if x_star.size != grid.ndim:
-        raise GridError(f"query has {x_star.size} coordinates, grid has {grid.ndim} axes")
-    return CellIndex(tuple(locate_cells(grid, x_star[None, :], r)[0]))

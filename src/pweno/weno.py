@@ -11,9 +11,10 @@ outer products of per-axis weights. The progressive method runs the
 Aitken-Neville recursion from level r: each node combines its 2^n children
 with indicator-modulated tensor pair weights until one level-(2r-1) value
 remains. Indicators are computed once, at level r, and reused at every
-level by index shifts. interpolate_nd is a one-point call of the engine
-that can capture the recursion triangle; batch.interpolate_batch is the
-many-point call.
+level by index shifts. interpolate_nd is a one-point call of the engine;
+with capture=True it also returns the recursion triangle of its point as
+arrays (NevilleState). batch.interpolate_batch is the many-point call. Both
+read their points through _as_points.
 """
 from __future__ import annotations
 
@@ -33,10 +34,6 @@ METHODS = ("progressive", "classical", "linear")
 
 
 class WenoError(ValueError):
-    pass
-
-
-class DiagnosticsNotCaptured(RuntimeError):
     pass
 
 
@@ -83,24 +80,27 @@ class WenoParams:
 
 @dataclass
 class NevilleState:
-    """Per-level values of the recursion and the weights used at each node.
+    """The progressive recursion triangle of one point, as arrays.
 
-    values[l][j] is p~^l_j(x*) for l = r..2r-1, j in {0..2r-1-l}^n.
-    weights[(l, j)] maps each child v in {0,1}^n (lexicographic) to its
-    nonlinear weight.
+    values[l], l = r..2r-1, has shape (2r-l,)*n: values[l][j] is p~^l_j(x*),
+    so values[r] holds the base values and values[2r-1][(0,)*n] the answer.
+    weights[l], l = r..2r-2, has shape (2r-1-l,)*n + (2,)*n: weights[l][j + v]
+    is the nonlinear weight of child j+v (v in {0,1}^n) in the level-(l+1)
+    node j.
     """
 
     r: int
     ndim: int
-    values: dict[int, dict[tuple, float]] = field(default_factory=dict)
-    weights: dict[tuple, dict[tuple, float]] = field(default_factory=dict)
+    values: dict[int, np.ndarray] = field(default_factory=dict)
+    weights: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
 class InterpResult:
     """One point's answer. indicators holds its base sub-stencil indicators,
-    shape (r,)*n, or the override if one was given; it is None for the
-    linear method without an override, which builds none."""
+    shape (r,)*n; it is None for the linear method, which builds none.
+    neville is the recursion triangle (NevilleState); it is None unless
+    capture=True was asked of the progressive method."""
 
     value: float
     cell: CellIndex
@@ -108,15 +108,6 @@ class InterpResult:
     base_values: np.ndarray
     linear_fallback: bool = False
     neville: NevilleState | None = None
-
-
-def capture_diagnostics(result: InterpResult) -> NevilleState:
-    """Recursion triangle of a progressive evaluation (capture must be on)."""
-    if result.neville is None:
-        raise DiagnosticsNotCaptured(
-            "interpolate was called without capture=True or with a non-progressive method"
-        )
-    return result.neville
 
 
 def nonlinear_pair(linear_weights, indicators, eps: float, t: float):
@@ -138,8 +129,8 @@ def nonlinear_pair(linear_weights, indicators, eps: float, t: float):
 
 class Evaluation(NamedTuple):
     """Engine output for npts points: values, cells (npts, n), base values
-    and indicators (npts,) + (r,)*n (indicators None for the linear method
-    without an override), fallback flags, and the captured triangle."""
+    and indicators (npts,) + (r,)*n (indicators None for the linear method),
+    fallback flags, and the captured triangle."""
 
     values: np.ndarray
     cells: np.ndarray
@@ -176,22 +167,27 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
-def _grid_entries(a: np.ndarray) -> dict[tuple, float]:
-    return {k: float(a[k]) for k in np.ndindex(a.shape)}
+def _as_points(points, ndim: int) -> np.ndarray:
+    """Query points as a float64 array (npts, ndim), or WenoError.
+
+    A 1-D array is read as npts points of a 1-D grid function.
+    """
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise WenoError("points must be numbers in an array or nested lists") from None
+    if ndim == 1 and pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != ndim:
+        raise WenoError(f"points must have shape (npts, {ndim}), got {pts.shape}")
+    return pts
 
 
-def evaluate(
-    gf: GridFunction,
-    pts: np.ndarray,
-    params: WenoParams,
-    smoothness_override=None,
-    capture: bool = False,
-) -> Evaluation:
+def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
+             capture: bool = False) -> Evaluation:
     """Run the configured method at query points pts of shape (npts, n).
 
-    smoothness_override replaces the indicator table of every point (shape
-    (r,)*n, broadcast). capture records the progressive recursion of the
-    first point.
+    capture records the progressive recursion of the first point.
     """
     r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
     weighted = params.method != "linear"
@@ -202,13 +198,7 @@ def evaluate(
                for a, ax in enumerate(gf.grid.axes)]
     x = pts.T
     base = _neville(value_blocks(gf, cells - r, 2 * r), windows, x, range(r))
-    if smoothness_override is not None:
-        ind = np.broadcast_to(np.asarray(smoothness_override, dtype=np.float64),
-                              (npts,) + (r,) * n)
-    elif weighted:
-        ind = indicator_tables(gf, cells, r)
-    else:
-        ind = None
+    ind = indicator_tables(gf, cells, r) if weighted else None
     fallback = np.zeros(npts, dtype=bool)
     state = None
 
@@ -216,55 +206,47 @@ def evaluate(
         top = _neville(base, windows, x, range(r, 2 * r - 1))
     elif params.method == "classical":
         C = _outer([classical_optimal_general(windows[a], x[a]) for a in range(n)])
-        omega, fallback = nonlinear_pair(C.reshape(npts, -1), ind.reshape(npts, -1), eps, t)
-        top = np.einsum("pk,pk->p", omega, base.reshape(npts, -1))
+        omega, fallback = nonlinear_pair(C.reshape(npts, r ** n), ind.reshape(npts, r ** n),
+                                         eps, t)
+        top = np.einsum("pk,pk->p", omega, base.reshape(npts, r ** n))
     else:
         if capture:
-            state = NevilleState(r=r, ndim=n)
-            state.values[r] = _grid_entries(base[0])
-        children = list(product((0, 1), repeat=n))   # lexicographic
+            state = NevilleState(r=r, ndim=n, values={r: base[0]})
         top = base
         for l in range(r, 2 * r - 1):
             shift = l - (r - 1)
             size = 2 * r - 1 - l
             keep = [pair_keep(windows[a], x[a], l, np.arange(size)) for a in range(n)]
             nxt = np.empty((npts,) + (size,) * n)
+            if state is not None:
+                state.weights[l] = np.empty((size,) * n + (2,) * n)
             for j in product(range(size), repeat=n):
                 C = _outer([np.stack([k[:, ja], 1.0 - k[:, ja]], axis=1)
                             for k, ja in zip(keep, j)])
                 # child j+v reuses the level-r indicator I^r_{j + shift*v}
                 Ij = ind[(slice(None),) + tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
-                omega, bad = nonlinear_pair(C.reshape(npts, -1), Ij.reshape(npts, -1), eps, t)
+                omega, bad = nonlinear_pair(C.reshape(npts, 2 ** n), Ij.reshape(npts, 2 ** n),
+                                            eps, t)
                 fallback |= bad
                 kids = top[(slice(None),) + tuple(slice(ja, ja + 2) for ja in j)]
-                nxt[(slice(None),) + j] = np.einsum("pv,pv->p", omega, kids.reshape(npts, -1))
+                nxt[(slice(None),) + j] = np.einsum("pv,pv->p", omega,
+                                                    kids.reshape(npts, 2 ** n))
                 if state is not None:
-                    state.weights[(l, j)] = dict(zip(children, omega[0].tolist()))
+                    state.weights[l][j] = omega[0].reshape((2,) * n)   # lexicographic v
             top = nxt
             if state is not None:
-                state.values[l + 1] = _grid_entries(top[0])
+                state.values[l + 1] = top[0]
     return Evaluation(top.reshape(npts), cells, base, ind, fallback, state)
 
 
-def interpolate_nd(
-    gf: GridFunction,
-    x_star,
-    params: WenoParams,
-    capture: bool = False,
-    smoothness_override: np.ndarray | None = None,
-) -> InterpResult:
-    """Interpolate gf at one point with the configured method.
-
-    smoothness_override is a test hook: an array of shape (r,)*n used in place
-    of the computed indicator table. capture records the recursion triangle
-    of the progressive method (see capture_diagnostics).
+def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
+                   capture: bool = False) -> InterpResult:
+    """Interpolate gf at one point x_star (n coordinates) with the configured
+    method. capture records the recursion triangle of the progressive method
+    in InterpResult.neville.
     """
-    n = gf.grid.ndim
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=np.float64))
-    if x_star.size != n:
-        raise WenoError(f"query has {x_star.size} coordinates, data has {n}")
-    ev = evaluate(gf, x_star[None, :], params, smoothness_override,
-                  capture and params.method == "progressive")
-    ind = None if ev.indicators is None else np.array(ev.indicators[0])
+    pts = _as_points(np.reshape(x_star, (1, -1)), gf.grid.ndim)
+    ev = evaluate(gf, pts, params, capture)
+    ind = None if ev.indicators is None else ev.indicators[0]
     return InterpResult(float(ev.values[0]), CellIndex(tuple(ev.cells[0])), ind, ev.base[0],
                         linear_fallback=bool(ev.fallback[0]), neville=ev.state)

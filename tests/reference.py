@@ -13,10 +13,13 @@ weights, recursion or normalization.
 
 Also here: the smoothness indicator by its definition, through numpy's
 polynomial routines and nothing of pweno.smoothness; the closed-form midpoint
-weights and the small helpers that only the tests use.
+weights and the small helpers that only the tests use, among them
+override_indicators, which substitutes a fixed indicator table for the
+engine's.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import product
 from math import comb
 from typing import NamedTuple
@@ -24,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from pweno.grid import CellIndex, GridFunction, InsufficientStencilError, locate_cell
+import pweno.weno
+from pweno.grid import CellIndex, GridFunction, InsufficientStencilError, locate_cells
 from pweno.smoothness import indicator_tables
 from pweno.weights import classical_optimal_general
 from pweno.weno import WenoParams
@@ -150,6 +154,23 @@ def classical_optimal_midpoint(r: int) -> np.ndarray:
     return c / 2.0 ** (2 * r - 1)
 
 
+@contextmanager
+def override_indicators(table):
+    """Within the block the engine uses table, shape (r,)*n, as the indicator
+    table of every point, in place of the computed one."""
+    real = pweno.weno.indicator_tables
+
+    def fixed(gf, cells, r):
+        return np.broadcast_to(np.asarray(table, dtype=np.float64),
+                               (cells.shape[0],) + (r,) * gf.grid.ndim)
+
+    pweno.weno.indicator_tables = fixed
+    try:
+        yield
+    finally:
+        pweno.weno.indicator_tables = real
+
+
 def tensor_weight(per_axis) -> float:
     """Product of per-axis scalar weights."""
     out = 1.0
@@ -186,8 +207,8 @@ class Reference(NamedTuple):
     cell: CellIndex
     base_values: np.ndarray
     linear_fallback: bool
-    values: dict       # progressive only: values[l][j], as in NevilleState
-    weights: dict      # progressive only: weights[(l, j)][v]
+    values: dict       # progressive only: values[l][j] = NevilleState.values[l][j]
+    weights: dict      # progressive only: weights[(l, j)][v] = NevilleState.weights[l][j + v]
 
 
 def _normalize(C: np.ndarray, I: np.ndarray, eps: float, t: float):
@@ -204,7 +225,7 @@ def reference_interpolate(gf: GridFunction, x_star, params: WenoParams,
     r = params.r
     n = gf.grid.ndim
     x_star = np.atleast_1d(np.asarray(x_star, dtype=np.float64))
-    cell = locate_cell(gf.grid, x_star, r=r)
+    cell = CellIndex(tuple(locate_cells(gf.grid, x_star[None, :], r)[0]))
     windows = [gf.grid.axes[a].nodes[cell.i[a] - r : cell.i[a] + r] for a in range(n)]
     first = [i - r for i in cell.i]
     base = np.empty((r,) * n)

@@ -28,6 +28,7 @@ from pweno.grid import (
 from pweno.smoothness import gauss_rule, indicator_tables
 from pweno.testfunctions import get_test_function
 from pweno.weno import WenoParams, interpolate_nd
+from reference import override_indicators
 
 FLOOR = 100 * np.finfo(np.float64).eps
 
@@ -111,7 +112,8 @@ def test_criterion_02_linear_limit():
             i = int(rng.integers(r, ax.n_cells - r + 2))
             point.append(rng.uniform(ax.nodes[i - 1], ax.nodes[i]))
         params = WenoParams(r=r, method="progressive")
-        got = interpolate_nd(gf, point, params, smoothness_override=0.37).value
+        with override_indicators(0.37):
+            got = interpolate_nd(gf, point, params).value
         full = interpolate_nd(gf, point, WenoParams(r=r, method="linear")).value
         rel = abs(got - full) / max(1.0, abs(full))
         if rel > 1e-12:

@@ -188,6 +188,14 @@ class TestInterp:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_2d_node_array_is_named(self, tmp_path, capsys):
+        data = tmp_path / "bad.json"
+        data.write_text(json.dumps({"axes": [[[0, 1]]], "values": [1.0, 2.0]}),
+                        encoding="utf-8")
+        query = write_query(tmp_path, [0.5])
+        assert main(["interp", "--data", str(data), "--query", str(query)]) == 2
+        assert capsys.readouterr().err == "error: nodes must be a 1-D array, got shape (1, 2)\n"
+
     def test_out_of_window_query_exits_2(self, tmp_path, capsys):
         data = write_linear_data(tmp_path)
         query = write_query(tmp_path, [0.01])

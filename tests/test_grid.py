@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pweno.grid import (
-    CellIndex,
     Grid1D,
     GridError,
     GridFunction,
@@ -14,7 +13,7 @@ from pweno.grid import (
     build_perturbed_grid,
     build_random_grid,
     build_uniform_grid,
-    locate_cell,
+    locate_cells,
     locate_cells_1d,
     refine_dyadic,
 )
@@ -22,8 +21,14 @@ from pweno.grid import (
 
 class TestGrid1D:
     def test_rejects_short(self):
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="at least 2 nodes"):
             Grid1D(np.array([0.0]))
+
+    def test_rejects_nodes_that_are_not_1d(self):
+        with pytest.raises(GridError, match=r"nodes must be a 1-D array, got shape \(1, 2\)"):
+            Grid1D(np.array([[0.0, 1.0]]))
+        with pytest.raises(GridError, match=r"got shape \(\)"):
+            Grid1D(0.5)
 
     def test_rejects_non_increasing(self):
         with pytest.raises(GridError):
@@ -160,28 +165,22 @@ class TestLocate:
         with pytest.raises(OutOfDomainError):
             locate_cells_1d(nodes, np.array([0.5, np.nan]))
         with pytest.raises(OutOfDomainError):
-            locate_cell(TensorGrid((build_uniform_grid(0.0, 1.0, 4),)), np.nan)
+            locate_cells(TensorGrid((build_uniform_grid(0.0, 1.0, 4),)), np.array([[np.nan]]))
 
     def test_locate_cell_nd(self):
         gx = build_uniform_grid(0.0, 1.0, 10)
         gy = build_uniform_grid(0.0, 2.0, 10)
         grid = TensorGrid((gx, gy))
-        c = locate_cell(grid, (0.55, 1.35))
-        assert c == CellIndex((6, 7))
+        np.testing.assert_array_equal(locate_cells(grid, np.array([[0.55, 1.35]])), [[6, 7]])
 
     def test_window_check(self):
         g = build_uniform_grid(0.0, 1.0, 10)
         grid = TensorGrid((g,))
-        assert locate_cell(grid, 0.45, r=3).i == (5,)
+        np.testing.assert_array_equal(locate_cells(grid, np.array([[0.45]]), r=3), [[5]])
         with pytest.raises(InsufficientStencilError):
-            locate_cell(grid, 0.05, r=3)
+            locate_cells(grid, np.array([[0.05]]), r=3)
         with pytest.raises(InsufficientStencilError):
-            locate_cell(grid, 0.95, r=3)
-
-    def test_dimension_mismatch(self):
-        grid = TensorGrid((build_uniform_grid(0.0, 1.0, 4),))
-        with pytest.raises(GridError):
-            locate_cell(grid, (0.5, 0.5))
+            locate_cells(grid, np.array([[0.95]]), r=3)
 
     @given(seed=st.integers(0, 10_000), frac=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)

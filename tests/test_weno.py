@@ -1,4 +1,5 @@
 import re
+from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from pweno import smoothness
 from pweno.batch import interpolate_batch
 from pweno.grid import (
     Grid1D,
+    GridError,
     GridFunction,
     InsufficientStencilError,
     OutOfDomainError,
@@ -19,15 +21,8 @@ from pweno.grid import (
     build_uniform_grid,
 )
 from pweno.weights import pair_keep
-from pweno.weno import (
-    DiagnosticsNotCaptured,
-    WenoError,
-    WenoParams,
-    capture_diagnostics,
-    interpolate_nd,
-    nonlinear_pair,
-)
-from reference import reference_interpolate
+from pweno.weno import WenoError, WenoParams, interpolate_nd, nonlinear_pair
+from reference import override_indicators, reference_interpolate
 
 METHODS = ("progressive", "classical", "linear")
 
@@ -42,22 +37,17 @@ def random_gf(ndim, J, seed, fn=None):
 
 
 def effective_masses(state):
-    """Weight mass each base sub-stencil contributes to the final value."""
+    """Weight mass each base sub-stencil contributes to the final value,
+    shape (r,)*n: the top node's mass 1 pushed down the triangle."""
     r, n = state.r, state.ndim
-    masses = {}
-    for k0 in product(range(r), repeat=n):
-        level = {k: 1.0 if k == k0 else 0.0 for k in product(range(r), repeat=n)}
-        for l in range(r, 2 * r - 1):
-            nxt = {}
-            for j in product(range(2 * r - 1 - l), repeat=n):
-                w = state.weights[(l, j)]
-                nxt[j] = sum(
-                    wv * level[tuple(a + b for a, b in zip(j, v))]
-                    for v, wv in w.items()
-                )
-            level = nxt
-        masses[k0] = level[(0,) * n]
-    return masses
+    mass = np.ones((1,) * n)
+    for l in range(2 * r - 2, r - 1, -1):
+        size = 2 * r - 1 - l
+        below = np.zeros((size + 1,) * n)
+        for v in product((0, 1), repeat=n):
+            below[tuple(slice(b, b + size) for b in v)] += mass * state.weights[l][(Ellipsis,) + v]
+        mass = below
+    return mass
 
 
 class TestNonlinearPair:
@@ -150,8 +140,8 @@ class TestLinearLimit:
                               for ax in gf.grid.axes])
                 prog = WenoParams(r=r, method="progressive")
                 lin = WenoParams(r=r, method="linear")
-                override = np.full((r,) * n, 0.37)
-                got = interpolate_nd(gf, x, prog, smoothness_override=override).value
+                with override_indicators(np.full((r,) * n, 0.37)):
+                    got = interpolate_nd(gf, x, prog).value
                 want = interpolate_nd(gf, x, lin).value
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
                 rng.shuffle(x)  # keep rng advancing; x is re-derived next loop
@@ -160,14 +150,13 @@ class TestLinearLimit:
         gf = random_gf(1, 14, seed=3)
         x = 0.5 * (gf.grid.axes[0].nodes[6] + gf.grid.axes[0].nodes[7])
         params = WenoParams(r=3)
-        res = interpolate_nd(gf, x, params, capture=True,
-                             smoothness_override=np.zeros(3))
-        state = capture_diagnostics(res)
+        with override_indicators(np.zeros(3)):
+            state = interpolate_nd(gf, x, params, capture=True).neville
         window = gf.grid.axes[0].nodes[4:10]
-        for (l, j), wmap in state.weights.items():
-            c_keep = pair_keep(window, x, l, np.array(j))[0]
-            assert wmap[(0,)] == pytest.approx(c_keep, abs=1e-14)
-            assert wmap[(1,)] == pytest.approx(1.0 - c_keep, abs=1e-14)
+        for l, w in state.weights.items():
+            c_keep = pair_keep(window, x, l, np.arange(w.shape[0]))
+            np.testing.assert_allclose(w[:, 0], c_keep, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(w[:, 1], 1.0 - c_keep, rtol=0, atol=1e-14)
 
     def test_linear_method_builds_no_indicators(self, monkeypatch):
         calls = []
@@ -240,7 +229,7 @@ class TestStepData:
             gf = self.step_gf(J, cut)
             x = 0.5 * (g.nodes[i - 1] + g.nodes[i])
             res = interpolate_nd(gf, x, params, capture=True)
-            masses = effective_masses(capture_diagnostics(res))
+            masses = effective_masses(res.neville)
             contaminated = [k for k in range(r) if i + k >= i + l0]
             mass = sum(masses[(k,)] for k in contaminated)
             i_min = min(res.indicators[k] for k in contaminated)
@@ -265,21 +254,21 @@ class TestDiagnostics:
         gf = random_gf(1, 14, seed=21)
         x = 0.5 * (gf.grid.axes[0].nodes[6] + gf.grid.axes[0].nodes[7])
         res = interpolate_nd(gf, x, WenoParams(r=3), capture=True)
-        state = capture_diagnostics(res)
-        assert [len(state.values[l]) for l in (3, 4, 5)] == [3, 2, 1]
-        for k in range(3):
-            assert state.values[3][(k,)] == float(res.base_values[k])
+        state = res.neville
+        assert [state.values[l].shape for l in (3, 4, 5)] == [(3,), (2,), (1,)]
+        assert [state.weights[l].shape for l in (3, 4)] == [(2, 2), (1, 2)]
+        np.testing.assert_array_equal(state.values[3], res.base_values)
         assert state.values[5][(0,)] == res.value
 
     def test_weights_convex_at_every_node(self):
         gf = random_gf(2, 12, seed=33)
         x = np.array([0.5 * (ax.nodes[5] + ax.nodes[6]) for ax in gf.grid.axes])
         res = interpolate_nd(gf, x, WenoParams(r=3), capture=True)
-        state = capture_diagnostics(res)
-        for wmap in state.weights.values():
-            vals = np.array(list(wmap.values()))
-            assert (vals >= 0).all()
-            assert vals.sum() == pytest.approx(1.0, abs=1e-12)
+        for l, w in res.neville.weights.items():
+            size = 2 * 3 - 1 - l
+            assert w.shape == (size, size, 2, 2)
+            assert (w >= 0).all()
+            np.testing.assert_allclose(w.sum(axis=(2, 3)), 1.0, rtol=0, atol=1e-12)
 
     def test_smooth_weights_approach_linear(self):
         # deviation from the linear pair weights shrinks by >= 2^(r-2) per
@@ -293,25 +282,49 @@ class TestDiagnostics:
             i = J // 2
             x = 0.5 * (g.nodes[i - 1] + g.nodes[i])
             res = interpolate_nd(gf, x, WenoParams(r=r), capture=True)
-            state = capture_diagnostics(res)
             window = g.nodes[i - r : i + r]
             dev = 0.0
-            for (l, j), wmap in state.weights.items():
-                c_keep = pair_keep(window, x, l, np.array(j))[0]
-                dev = max(dev, abs(wmap[(0,)] - c_keep),
-                          abs(wmap[(1,)] - (1.0 - c_keep)))
+            for l, w in res.neville.weights.items():
+                c_keep = pair_keep(window, x, l, np.arange(w.shape[0]))
+                dev = max(dev, np.abs(w[:, 0] - c_keep).max(),
+                          np.abs(w[:, 1] - (1.0 - c_keep)).max())
             devs.append(dev)
         assert devs[0] / devs[1] >= 2.0 ** (r - 2)
 
-    def test_not_captured_raises(self):
+    def test_neville_is_none_unless_captured(self):
         gf = random_gf(1, 14, seed=2)
         x = 0.5 * (gf.grid.axes[0].nodes[6] + gf.grid.axes[0].nodes[7])
-        res = interpolate_nd(gf, x, WenoParams(r=3))
-        with pytest.raises(DiagnosticsNotCaptured):
-            capture_diagnostics(res)
-        res = interpolate_nd(gf, x, WenoParams(r=3, method="classical"), capture=True)
-        with pytest.raises(DiagnosticsNotCaptured):
-            capture_diagnostics(res)
+        assert interpolate_nd(gf, x, WenoParams(r=3)).neville is None
+        for method in ("classical", "linear"):
+            res = interpolate_nd(gf, x, WenoParams(r=3, method=method), capture=True)
+            assert res.neville is None
+        assert interpolate_nd(gf, x, WenoParams(r=3), capture=True).neville is not None
+
+    @pytest.mark.parametrize("n, r", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
+                                      (3, 2), (3, 3), (3, 4)])
+    def test_triangle_matches_reference(self, n, r):
+        # every node value and weight of the captured triangle, against the
+        # scalar reference's dict triangle, on smooth and on jump data
+        for seed, fn in ((80 + r, None),
+                         (90 + r, lambda *xs: (sum(xs) > 0.5 * n).astype(float))):
+            gf = random_gf(n, 2 * r + 3, seed=seed, fn=fn)
+            params = WenoParams(r=r)
+            for x in full_window_points(gf, r, 3, np.random.default_rng(seed)):
+                res = interpolate_nd(gf, x, params, capture=True)
+                state, ref = res.neville, reference_interpolate(gf, x, params)
+                assert sorted(state.values) == sorted(ref.values) == list(range(r, 2 * r))
+                for l, got in state.values.items():
+                    assert got.shape == (2 * r - l,) * n
+                    want = [ref.values[l][j] for j in np.ndindex(got.shape)]
+                    np.testing.assert_allclose(got.ravel(), want, rtol=1e-10, atol=1e-12)
+                assert sorted(state.weights) == list(range(r, 2 * r - 1))
+                for l, got in state.weights.items():
+                    assert got.shape == (2 * r - 1 - l,) * n + (2,) * n
+                    want = [ref.weights[(l, j)][v] for j in np.ndindex(got.shape[:n])
+                            for v in np.ndindex(got.shape[n:])]
+                    np.testing.assert_allclose(got.ravel(), want, rtol=1e-10, atol=1e-12)
+                # the captured top is the answer (perfbench's nd3d reads it)
+                assert state.values[2 * r - 1][(0,) * n] == res.value
 
 
 class TestTwoDimensional:
@@ -371,11 +384,13 @@ def full_window_points(gf, r, npts, rng):
 
 
 def assert_both_match_reference(gf, pts, params, override=None):
-    """interpolate_batch and interpolate_nd both equal the scalar reference."""
+    """interpolate_batch and interpolate_nd both equal the scalar reference;
+    override, if given, is the indicator table of every point."""
     want = [reference_interpolate(gf, p, params, smoothness_override=override)
             for p in pts]
-    batch = interpolate_batch(gf, pts, params, smoothness_override=override)
-    single = [interpolate_nd(gf, p, params, smoothness_override=override) for p in pts]
+    with nullcontext() if override is None else override_indicators(override):
+        batch = interpolate_batch(gf, pts, params)
+        single = [interpolate_nd(gf, p, params) for p in pts]
     expect = np.array([w.value for w in want])
     np.testing.assert_allclose(batch.values, expect, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose([s.value for s in single], expect, rtol=1e-10, atol=1e-12)
@@ -462,6 +477,12 @@ class TestBatchEngine:
         gf = random_gf(1, 12, seed=9)
         out = interpolate_batch(gf, np.zeros((0,)), WenoParams(r=3))
         assert out.values.size == 0 and out.cells.shape == (0, 1)
+        # no special case for npts = 0: every method and dimension runs the engine
+        for n, method in product((1, 2, 3), METHODS):
+            out = interpolate_batch(random_gf(n, 8, seed=n), np.zeros((0, n)),
+                                    WenoParams(r=2, method=method))
+            assert out.values.shape == out.base_min.shape == out.fallback.shape == (0,)
+            assert out.cells.shape == (0, n)
         with pytest.raises(ValueError):
             interpolate_batch(gf, np.zeros((3, 2)), WenoParams(r=3))
         with pytest.raises(InsufficientStencilError):
@@ -478,6 +499,17 @@ def test_wrong_shaped_points_raise_weno_error(shape):
     gf = random_gf(1, 12, seed=9)
     with pytest.raises(WenoError, match=r"points must have shape \(npts, 1\)"):
         interpolate_batch(gf, np.full(shape, 0.5), WenoParams(r=3))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda gf, p: interpolate_batch(gf, [{"a": 1}], p), WenoError, "points must be numbers"),
+    (lambda gf, p: interpolate_nd(gf, "abc", p), WenoError, "points must be numbers"),
+    (lambda gf, p: Grid1D([{"a": 1}]), GridError, "'nodes'"),
+], ids=["batch-objects", "nd-string", "grid-objects"])
+def test_non_numeric_input_raises_named_error(call, error, match):
+    # the library boundary names the input, never numpy's TypeError
+    with pytest.raises(error, match=match):
+        call(random_gf(1, 12, seed=9), WenoParams(r=3))
 
 
 @st.composite
