@@ -10,22 +10,23 @@ with J = {0..r}^n \\ {0} and h_j the largest gap of the grid on axis j. It
 is computed in the cell's own coordinates u_j = (x_j - mid_j) / half_j in
 [-1, 1], where each term is the same dimensionless number
 
-    prod_j (h_j / half_j)^(2 l_j - 1) * integral_[-1,1]^n (d_u^l p)^2 du,
+    prod_j (half_j / h_j) * integral_[-1,1]^n (prod_j h_j^l_j d_x^l p)^2 du,
 
 so the indicators are invariant under x -> s x + d (bit for bit when s is a
 power of two) and stay finite at any scale the grid can represent. Per axis,
-basis-derivative samples of every order at the q = r + 1 Gauss-Legendre
-points (exact: the integrands are polynomials of per-axis degree <= 2r), in
-units of u, are applied to the sample block in one batched matmul; after
-all axes the block holds every mixed derivative d_u^l p at every tensor
-Gauss point. Derivatives are applied before squaring; folding the squares
-into Gram matrices first loses the indicator to cancellation when
-sub-stencil nodes cluster. Rows are taken in chunks of a fixed byte budget,
-so memory does not grow with the number of cells. The samples of all
-distinct cells and offsets on an axis come from one batched call of
-derivative_samples at one cached Gauss rule. Indicators are computed once
-per distinct cell at level r; higher recursion levels reuse them by index
-shifts.
+basis-derivative samples of every order in units of the axis' h, at the
+q = r + 1 Gauss-Legendre points (exact: the integrands are polynomials of
+per-axis degree <= 2r), are applied to the sample block in one batched
+matmul. After all axes the block holds every h^l d_x^l p at every tensor
+Gauss point; one weighted sum of squares per row, times one factor half/h
+per axis, gives the indicator. The Gauss weights and the exclusion of l = 0
+live in one cached weight vector. Derivatives are applied before squaring:
+Gram matrices of the squares lose the indicator to cancellation when
+sub-stencil nodes cluster. Rows go in chunks of a fixed byte budget, so
+memory does not grow with the number of cells. The samples of all distinct
+cells and offsets on an axis come from one derivative_samples call at one
+cached Gauss rule. Indicators are computed once per distinct cell at level
+r; higher recursion levels reuse them by index shifts.
 """
 from __future__ import annotations
 
@@ -102,14 +103,26 @@ def derivative_samples(nodes, points, unit) -> np.ndarray:
     return out.transpose(3, 0, 1, 2)
 
 
+@lru_cache(maxsize=32)
+def _square_weights(m: int, gw: tuple[float, ...], n: int) -> np.ndarray:
+    """Weights of _indicator_values' (m*q)^n tensor: the product over axes of
+    ones(m) (x) gw, all-orders-zero entries exactly 0; shared, so read-only."""
+    wts = axis = np.tile(gw, m)
+    for _ in range(n - 1):
+        wts = np.multiply.outer(wts, axis).ravel()
+    wts.reshape((m, len(gw)) * n)[(0, slice(None)) * n] = 0.0
+    wts.setflags(write=False)
+    return wts
+
+
 def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int,
                       pts: np.ndarray):
     """Per distinct 1-D cell on an axis: basis-derivative samples per offset k.
 
     One batched call of derivative_samples for all nc cells and r offsets, at
     the Gauss points pts of each cell. Returns (sam[nc, r, r+1, q, r+1],
-    h[nc]) in cell-local units: derivatives with respect to the cell
-    coordinate u, and the axis' largest gap divided by the cell's half width.
+    scale[nc]): derivatives with respect to x / h, h the axis' largest gap,
+    and half / h, the part of (h / half)^(2 l - 1) the squares do not carry.
     """
     ax = gf.grid.axes[axis]
     nc, q = cells.size, pts.size
@@ -117,33 +130,24 @@ def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int,
     a, b = ax.nodes[cells - 1], ax.nodes[cells]
     half = 0.5 * (b - a)
     x = a[:, None] + half[:, None] * (pts + 1.0)
-    sam = derivative_samples(subs.reshape(nc * r, r + 1), np.repeat(x, r, axis=0),
-                             np.repeat(half, r))
-    return sam.reshape(nc, r, r + 1, q, r + 1), ax.h_max / half
+    sam = derivative_samples(subs.reshape(nc * r, r + 1), np.repeat(x, r, axis=0), ax.h_max)
+    return sam.reshape(nc, r, r + 1, q, r + 1), half / ax.h_max
 
 
-def _indicator_values(block: np.ndarray, sams, gw: np.ndarray, hs) -> np.ndarray:
-    """Indicators of many sub-stencil interpolants, one per row c.
+def _indicator_values(block: np.ndarray, sams, wts: np.ndarray) -> np.ndarray:
+    """Weighted sums of squared derivatives of many interpolants, one per row c.
 
-    block has shape (c, m, ..., m) with m samples per axis; per axis,
-    sams[axis] (c, m, q, m) holds the basis-derivative samples of orders
-    0..m-1 and hs[axis] (c,) the mesh width; gw (q,) holds the Gauss
-    weights. Each axis is contracted once for all its orders: one batched
-    matmul turns its m samples into m*q (order, Gauss point) values, so the
-    block becomes every mixed derivative of the interpolant at every tensor
-    Gauss point, shape (c, m*q, ..., m*q). Only then is it squared; the
-    Gauss points are integrated out and each order scaled by its
-    (h / half)^(2 l - 1). Rows go in chunks of _CHUNK_BYTES of that tensor,
-    so the temporaries do not grow with c.
+    block has shape (c, m, ..., m) with m samples per axis. Per axis, sams
+    holds a pair (S, row): S[row] (c, m, q, m) are the basis-derivative
+    samples of orders 0..m-1 at q Gauss points, gathered a chunk at a time;
+    wts are the weights of _square_weights. Each axis is contracted once for
+    all its orders by one batched matmul, so the block becomes every mixed
+    derivative at every tensor Gauss point, (c, m*q, ..., m*q); only then is
+    it squared, weighted and summed, one row at a time. Rows go in chunks of
+    _CHUNK_BYTES of that tensor, so the temporaries do not grow with c.
     """
-    c, n, m, q = block.shape[0], block.ndim - 1, block.shape[-1], gw.size
-    step = max(1, _CHUNK_BYTES // (8 * (m * q) ** n))
-    powers = 2 * np.arange(m) - 1
-    tensor_wts = gw
-    for _ in range(n - 1):
-        tensor_wts = np.multiply.outer(tensor_wts, gw).ravel()
-    # (row, orders..., Gauss points...) from (row, (order, point) per axis)
-    by_order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    c, n, m = block.shape[0], block.ndim - 1, block.shape[-1]
+    step = max(1, _CHUNK_BYTES // (8 * wts.size))
     total = np.empty(c)
     with np.errstate(over="ignore"):    # inf indicators trigger the fallback
         for lo in range(0, c, step):
@@ -153,19 +157,14 @@ def _indicator_values(block: np.ndarray, sams, gw: np.ndarray, hs) -> np.ndarray
             # every term differentiates at least once, so any constant shift
             # is inert; centering makes constant data give exactly zero
             T = T - T.mean(axis=tuple(range(1, n + 1)), keepdims=True)
-            for S in sams:
+            for S, row in sams:
                 # contract the leading sample axis; its (order, point) axis
                 # goes last, so after n axes the axes are back in order
                 T = (T.reshape(k, m, -1).transpose(0, 2, 1)
-                     @ S[rows].reshape(k, m * q, m).transpose(0, 2, 1))
-            sq = (T * T).reshape((k,) + (m, q) * n).transpose(by_order)
-            # a matmul per row, so no row's result depends on its chunk
-            per_order = (sq.reshape(k, m ** n, q ** n) @ tensor_wts).reshape((k,) + (m,) * n)
-            for a, h in enumerate(hs):
-                per_order *= (h[rows, None] ** powers).reshape(
-                    (k,) + (1,) * a + (m,) + (1,) * (n - 1 - a))
-            per_order[(slice(None),) + (0,) * n] = 0.0
-            total[rows] = per_order.reshape(k, -1).sum(axis=1)
+                     @ S[row[rows]].reshape(k, -1, m).transpose(0, 2, 1))
+            T = T.reshape(k, -1)
+            # a sum per row, so no row's bits depend on its chunk (a gemv's do)
+            total[rows] = np.einsum("ij,ij,j->i", T, T, wts)
     return total
 
 
@@ -178,6 +177,7 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     """
     n = gf.grid.ndim
     pts, gw = gauss_rule(r + 1)
+    wts = _square_weights(r + 1, tuple(gw), n)
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
     uniq, inverse = np.unique(flat, return_inverse=True)
     distinct = np.stack(np.unravel_index(uniq, gf.grid.shape), axis=1)
@@ -186,10 +186,10 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
         axis_cells, row = np.unique(distinct[:, a], return_inverse=True)
         caches.append(_axis_table_cache(gf, a, axis_cells, r, pts))
         rows.append(row.ravel())
-    hs = [h[row] for (_, h), row in zip(caches, rows)]
+    scale = np.prod([sc[row] for (_, sc), row in zip(caches, rows)], axis=0)
     tables = np.empty((uniq.size,) + (r,) * n)
     for k in product(range(r), repeat=n):
         block = value_blocks(gf, distinct - r + np.array(k), r + 1)
-        sams = [sam[row, ka] for (sam, _), row, ka in zip(caches, rows, k)]
-        tables[(slice(None),) + k] = _indicator_values(block, sams, gw, hs)
+        sams = [(sam[:, ka], row) for (sam, _), row, ka in zip(caches, rows, k)]
+        tables[(slice(None),) + k] = _indicator_values(block, sams, wts) * scale
     return tables[inverse.ravel()]

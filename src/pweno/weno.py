@@ -241,11 +241,11 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
 
 def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
                    capture: bool = False) -> InterpResult:
-    """Interpolate gf at one point x_star (n coordinates) with the configured
-    method. capture records the recursion triangle of the progressive method
-    in InterpResult.neville.
+    """Interpolate gf at one point x_star (n coordinates; a number when n = 1)
+    with the configured method. capture records the recursion triangle of the
+    progressive method in InterpResult.neville.
     """
-    pts = _as_points(np.reshape(x_star, (1, -1)), gf.grid.ndim)
+    pts = _as_points([x_star], gf.grid.ndim)
     ev = evaluate(gf, pts, params, capture)
     ind = None if ev.indicators is None else ev.indicators[0]
     return InterpResult(float(ev.values[0]), CellIndex(tuple(ev.cells[0])), ind, ev.base[0],

@@ -243,12 +243,15 @@ class TestIndicatorTables:
                 want = indicator_definition(subs, block, bounds, hs)
                 assert table[k] == pytest.approx(want, rel=1e-9)
 
-    @given(st.integers(1, 2), st.integers(2, 5), st.integers(0, 2**31 - 1),
-           st.lists(st.integers(-330, 330), min_size=2, max_size=2))
+    @given(st.integers(1, 3).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(2, 3 if n == 3 else 5))),
+           st.integers(0, 2**31 - 1),
+           st.lists(st.integers(-330, 330), min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)
-    def test_scale_invariance(self, n, r, seed, ks):
+    def test_scale_invariance(self, nr, seed, ks):
         # x -> 2^k x + d with d = 2^k d0: the scaled grid is exactly the
-        # shifted one times a power of two
+        # shifted one times a power of two; the half/h factors are per axis
+        n, r = nr
         rng = np.random.default_rng(seed)
         J = 2 * r + 3
         base = [random_axis(rng, J).nodes + rng.integers(-4, 5) for _ in range(n)]
@@ -264,11 +267,11 @@ class TestIndicatorTables:
         np.testing.assert_allclose(scaled, tables([0] * n), rtol=1e-12, atol=0.0)
 
 
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_chunk_boundaries(self, monkeypatch, r):
+    @pytest.mark.parametrize("n, r", [pytest.param(2, 2, id="2"), pytest.param(2, 3, id="3"),
+                                      pytest.param(3, 2, id="3d-2")])
+    def test_chunk_boundaries(self, monkeypatch, n, r):
         # 7 rows a chunk, so 50 cells end in a partial chunk; odd m = r + 1
         # puts rows at every offset of a BLAS call's unrolled blocks
-        n = 2
         rng = np.random.default_rng(11)
         grid = TensorGrid(tuple(random_axis(rng, 14) for _ in range(n)))
         gf = GridFunction(grid, rng.normal(size=grid.shape))

@@ -504,8 +504,10 @@ def test_wrong_shaped_points_raise_weno_error(shape):
 @pytest.mark.parametrize("call, error, match", [
     (lambda gf, p: interpolate_batch(gf, [{"a": 1}], p), WenoError, "points must be numbers"),
     (lambda gf, p: interpolate_nd(gf, "abc", p), WenoError, "points must be numbers"),
+    (lambda gf, p: interpolate_nd(gf, [[0.5], 0.3], p), WenoError, "points must be numbers"),
+    (lambda gf, p: interpolate_nd(gf, [0.5, [0.3]], p), WenoError, "points must be numbers"),
     (lambda gf, p: Grid1D([{"a": 1}]), GridError, "'nodes'"),
-], ids=["batch-objects", "nd-string", "grid-objects"])
+], ids=["batch-objects", "nd-string", "nd-ragged-first", "nd-ragged-last", "grid-objects"])
 def test_non_numeric_input_raises_named_error(call, error, match):
     # the library boundary names the input, never numpy's TypeError
     with pytest.raises(error, match=match):
