@@ -228,15 +228,18 @@ def _region_study(gf, tf, params, tau, level, prev):
     if (c2 - 4 + 1) - r < 0 or (c2 + 4 + 1) + r - 1 > gf.grid.axes[1].n_cells:
         raise BenchConfigError(f"region windows leave the domain at level {level}")
 
-    x1_of = {s1: n1[c1 + s1] + tau * (n1[c1 + s1 + 1] - n1[c1 + s1]) for s1 in s1_range}
-    x2_of = {s2: n2[c2 + s2] + tau * (n2[c2 + s2 + 1] - n2[c2 + s2]) for s2 in s2_range}
+    # region (s1, s2) holds the tau x tau points of cell (c1 + s1, c2 + s2),
+    # regions in row-major (s1, s2) order and tau1 before tau2 within each
+    j1 = c1 + np.array(s1_range)
+    j2 = c2 + np.array(s2_range)
+    x1 = n1[j1, None] + tau * (n1[j1 + 1] - n1[j1])[:, None]
+    x2 = n2[j2, None] + tau * (n2[j2 + 1] - n2[j2])[:, None]
+    pts = np.empty((len(s1_range), len(s2_range), tau.size, tau.size, 2))
+    pts[..., 0] = x1[:, None, :, None]
+    pts[..., 1] = x2[None, :, None, :]
+    pts = pts.reshape(-1, 2)
 
     regions = [(s1, s2) for s1 in s1_range for s2 in s2_range]
-    blocks = []
-    for s1, s2 in regions:
-        g1, g2 = np.meshgrid(x1_of[s1], x2_of[s2], indexing="ij")
-        blocks.append(np.column_stack([g1.ravel(), g2.ravel()]))
-    pts = np.concatenate(blocks, axis=0)
     res = interpolate_batch(gf, pts, params)
     err = np.abs(tf.fn(pts[:, 0], pts[:, 1]) - res.values)
 

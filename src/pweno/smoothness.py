@@ -22,26 +22,32 @@ Gauss point; one weighted sum of squares per row, times one factor half/h
 per axis, gives the indicator. The Gauss weights and the exclusion of l = 0
 live in one cached weight vector. Derivatives are applied before squaring:
 Gram matrices of the squares lose the indicator to cancellation when
-sub-stencil nodes cluster. Rows go in chunks of a fixed byte budget, so
-memory does not grow with the number of cells. The samples of all distinct
-cells and offsets on an axis come from one derivative_samples call at one
-cached Gauss rule. Indicators are computed once per distinct cell at level
-r; higher recursion levels reuse them by index shifts.
+sub-stencil nodes cluster. A row is one (distinct cell, offset k) pair, and
+one kernel pass covers every row of a call. Rows go in chunks of a fixed
+byte budget, and a chunk copies only its own rows' sample blocks out of a
+sliding-window view of the grid values, so memory does not grow with the
+number of cells. The samples of every sub-stencil on every axis come from
+one derivative_samples call at one cached Gauss rule. Indicators are
+computed once per distinct cell at level r; higher recursion levels reuse
+them by index shifts.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction, value_blocks
+from .grid import GridFunction
 
 
 # Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
-# rows are processed in chunks, so its temporaries do not grow with c.
-_CHUNK_BYTES = 1 << 20
+# rows are processed in chunks, so its temporaries do not grow with c. A
+# chunk peaks near twice this (a contraction's input and output coexist);
+# one call fills its chunks with all r^n offsets, so a small budget keeps
+# calls on few cells small.
+_CHUNK_BYTES = 1 << 19
 
 
 @lru_cache(maxsize=32)
@@ -115,57 +121,79 @@ def _square_weights(m: int, gw: tuple[float, ...], n: int) -> np.ndarray:
     return wts
 
 
-def _axis_table_cache(gf: GridFunction, axis: int, cells: np.ndarray, r: int,
-                      pts: np.ndarray):
-    """Per distinct 1-D cell on an axis: basis-derivative samples per offset k.
+def _sub_stencil_samples(gf: GridFunction, cells: np.ndarray, r: int, pts: np.ndarray):
+    """Basis-derivative samples of every axis' sub-stencils, from one call.
 
-    One batched call of derivative_samples for all nc cells and r offsets, at
-    the Gauss points pts of each cell. Returns (sam[nc, r, r+1, q, r+1],
-    scale[nc]): derivatives with respect to x / h, h the axis' largest gap,
-    and half / h, the part of (h / half)^(2 l - 1) the squares do not carry.
+    On axis a, each distinct 1-D cell i of cells[:, a] has r sub-stencils,
+    k = 0..r-1 with nodes i - r + k .. i + k; one derivative_samples call
+    samples all of them, on every axis, at the Gauss points pts of each
+    cell, with respect to x / h, h the axis' largest gap. Returns
+    (S, first, scale): S[first[a][p] + k] (r+1, q, r+1) holds the samples of
+    sub-stencil k on axis a of cell p, and scale[p] is the product over axes
+    of half / h, the part of (h / half)^(2 l - 1) the squares do not carry.
     """
-    ax = gf.grid.axes[axis]
-    nc, q = cells.size, pts.size
-    subs = ax.nodes[cells[:, None, None] - r + np.arange(r)[:, None] + np.arange(r + 1)]
-    a, b = ax.nodes[cells - 1], ax.nodes[cells]
-    half = 0.5 * (b - a)
-    x = a[:, None] + half[:, None] * (pts + 1.0)
-    sam = derivative_samples(subs.reshape(nc * r, r + 1), np.repeat(x, r, axis=0), ax.h_max)
-    return sam.reshape(nc, r, r + 1, q, r + 1), half / ax.h_max
+    subs, xs, units, first, scales = [], [], [], [], []
+    offset = 0
+    for ax, col in zip(gf.grid.axes, cells.T):
+        axis_cells, row = np.unique(col, return_inverse=True)
+        row = row.ravel()
+        first.append(offset + r * row)
+        offset += r * axis_cells.size
+        subs.append(ax.nodes[axis_cells[:, None, None] - r + np.arange(r)[:, None]
+                             + np.arange(r + 1)].reshape(-1, r + 1))
+        a, b = ax.nodes[axis_cells - 1], ax.nodes[axis_cells]
+        half = 0.5 * (b - a)
+        xs.append(np.repeat(a[:, None] + half[:, None] * (pts + 1.0), r, axis=0))
+        units.append(np.full(len(subs[-1]), ax.h_max))
+        scales.append((half / ax.h_max)[row])
+    S = derivative_samples(np.concatenate(subs), np.concatenate(xs), np.concatenate(units))
+    return S, first, np.prod(scales, axis=0)
 
 
-def _indicator_values(block: np.ndarray, sams, wts: np.ndarray) -> np.ndarray:
-    """Weighted sums of squared derivatives of many interpolants, one per row c.
+def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray,
+                      first: list, wts: np.ndarray) -> np.ndarray:
+    """Weighted sums of squared derivatives of every sub-stencil interpolant.
 
-    block has shape (c, m, ..., m) with m samples per axis. Per axis, sams
-    holds a pair (S, row): S[row] (c, m, q, m) are the basis-derivative
-    samples of orders 0..m-1 at q Gauss points, gathered a chunk at a time;
-    wts are the weights of _square_weights. Each axis is contracted once for
-    all its orders by one batched matmul, so the block becomes every mixed
-    derivative at every tensor Gauss point, (c, m*q, ..., m*q); only then is
-    it squared, weighted and summed, one row at a time. Rows go in chunks of
-    _CHUNK_BYTES of that tensor, so the temporaries do not grow with c.
+    One row per (cell, offset k) pair: the result has shape (nc, r**n), k in
+    lexicographic order. S and first come from _sub_stencil_samples; wts are
+    the weights of _square_weights. Rows go in chunks of _CHUNK_BYTES of the
+    larger of a row's two big temporaries, its contracted tensor below and
+    its samples gathered from S, so memory does not grow with nc; a chunk
+    copies only its own rows' sub-stencil blocks out of a sliding-window view
+    of the grid values. Each axis is contracted once for all its orders by
+    one batched matmul, so a block becomes every mixed derivative at every
+    tensor Gauss point, (m*q, ..., m*q); only then is it squared, weighted
+    and summed, one row at a time.
     """
-    c, n, m = block.shape[0], block.ndim - 1, block.shape[-1]
-    step = max(1, _CHUNK_BYTES // (8 * wts.size))
-    total = np.empty(c)
+    nc, n, m = cells.shape[0], cells.shape[1], r + 1
+    per_cell = r ** n
+    step = max(1, _CHUNK_BYTES // (8 * max(wts.size, np.prod(S.shape[1:]))))
+    offsets = np.indices((r,) * n).reshape(n, -1).T     # offset k of each row of a cell
+    axes = tuple(range(1, n + 1))
+    blocks = sliding_window_view(gf.values, (m,) * n)   # blocks[i]: the block from node i
+    first_node = cells - r
+    total = np.empty(nc * per_cell)
     with np.errstate(over="ignore"):    # inf indicators trigger the fallback
-        for lo in range(0, c, step):
-            rows = slice(lo, lo + step)
-            T = block[rows]
-            k = T.shape[0]
+        for lo in range(0, total.size, step):
+            hi = min(lo + step, total.size)
+            # rows lo..hi-1 lie in cells c0..c1-1, at rows among those cells' rows
+            c0, c1 = lo // per_cell, (hi - 1) // per_cell + 1
+            rows = slice(lo - c0 * per_cell, hi - c0 * per_cell)
+            T = blocks[tuple((first_node[c0:c1, None] + offsets).reshape(-1, n)[rows].T)]
+            c = T.shape[0]
             # every term differentiates at least once, so any constant shift
             # is inert; centering makes constant data give exactly zero
-            T = T - T.mean(axis=tuple(range(1, n + 1)), keepdims=True)
-            for S, row in sams:
+            T = T - T.mean(axis=axes, keepdims=True)
+            for fa, ka in zip(first, offsets.T):
                 # contract the leading sample axis; its (order, point) axis
                 # goes last, so after n axes the axes are back in order
-                T = (T.reshape(k, m, -1).transpose(0, 2, 1)
-                     @ S[row[rows]].reshape(k, -1, m).transpose(0, 2, 1))
-            T = T.reshape(k, -1)
+                sam = S[(fa[c0:c1, None] + ka).ravel()[rows]]
+                T = (T.reshape(c, m, -1).transpose(0, 2, 1)
+                     @ sam.reshape(c, -1, m).transpose(0, 2, 1))
+            T = T.reshape(c, -1)
             # a sum per row, so no row's bits depend on its chunk (a gemv's do)
-            total[rows] = np.einsum("ij,ij,j->i", T, T, wts)
-    return total
+            total[lo:hi] = np.einsum("ij,ij,j->i", T, T, wts)
+    return total.reshape(nc, per_cell)
 
 
 def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
@@ -181,15 +209,6 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
     uniq, inverse = np.unique(flat, return_inverse=True)
     distinct = np.stack(np.unravel_index(uniq, gf.grid.shape), axis=1)
-    caches, rows = [], []
-    for a in range(n):
-        axis_cells, row = np.unique(distinct[:, a], return_inverse=True)
-        caches.append(_axis_table_cache(gf, a, axis_cells, r, pts))
-        rows.append(row.ravel())
-    scale = np.prod([sc[row] for (_, sc), row in zip(caches, rows)], axis=0)
-    tables = np.empty((uniq.size,) + (r,) * n)
-    for k in product(range(r), repeat=n):
-        block = value_blocks(gf, distinct - r + np.array(k), r + 1)
-        sams = [(sam[:, ka], row) for (sam, _), row, ka in zip(caches, rows, k)]
-        tables[(slice(None),) + k] = _indicator_values(block, sams, wts) * scale
-    return tables[inverse.ravel()]
+    S, first, scale = _sub_stencil_samples(gf, distinct, r, pts)
+    tables = _indicator_values(gf, distinct, r, S, first, wts) * scale[:, None]
+    return tables.reshape((-1,) + (r,) * n)[inverse.ravel()]

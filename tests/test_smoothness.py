@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -270,8 +273,9 @@ class TestIndicatorTables:
     @pytest.mark.parametrize("n, r", [pytest.param(2, 2, id="2"), pytest.param(2, 3, id="3"),
                                       pytest.param(3, 2, id="3d-2")])
     def test_chunk_boundaries(self, monkeypatch, n, r):
-        # 7 rows a chunk, so 50 cells end in a partial chunk; odd m = r + 1
-        # puts rows at every offset of a BLAS call's unrolled blocks
+        # 7 rows a chunk, so chunks split cells and 50 r^n rows end in a partial
+        # chunk; odd m = r + 1 puts rows at every offset of a BLAS call's
+        # unrolled blocks
         rng = np.random.default_rng(11)
         grid = TensorGrid(tuple(random_axis(rng, 14) for _ in range(n)))
         gf = GridFunction(grid, rng.normal(size=grid.shape))
@@ -282,26 +286,58 @@ class TestIndicatorTables:
         chunked = indicator_tables(gf, cells, r)
         np.testing.assert_array_equal(chunked, full)
         for cell, table in zip(cells, chunked):
-            one = indicator_tables(gf, cell[None], r)[0]
-            assert one == pytest.approx(table, rel=1e-12, abs=1e-15)
+            np.testing.assert_array_equal(indicator_tables(gf, cell[None], r)[0], table)
+
+    @given(table_cases(), st.integers(1, 1 << 21))
+    @settings(max_examples=40, deadline=None)
+    def test_cell_bits_do_not_depend_on_company_or_chunk(self, case, chunk_bytes):
+        # a cell's table is the same alone as among other cells, at any budget
+        gf, cells, r = case
+        with patch.object(smoothness, "_CHUNK_BYTES", chunk_bytes):
+            tables = indicator_tables(gf, cells, r)
+        for cell, table in zip(cells, tables):
+            np.testing.assert_array_equal(indicator_tables(gf, cell[None], r)[0], table)
+
+    def test_peak_memory_is_a_few_chunks(self):
+        # 3,600 cells at r = 3: the 32,400 sub-stencil blocks alone take 4.1 MB,
+        # so gathering them all at once fails here, not only in peak RSS. A
+        # chunk peaks near twice its budget, and the tables exist twice at
+        # the end (per distinct cell and per queried cell)
+        r, J = 3, 64
+        rng = np.random.default_rng(5)
+        grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(2)))
+        gf = GridFunction(grid, rng.normal(size=grid.shape))
+        inner = np.arange(r, J - r + 2)
+        cells = np.stack(np.meshgrid(inner, inner, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert cells.shape[0] == 3600
+        indicator_tables(gf, cells[:1], r)      # fill the Gauss rule and weight caches
+        tracemalloc.start()
+        try:
+            tables = indicator_tables(gf, cells, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * smoothness._CHUNK_BYTES + 2 * tables.nbytes
+
+
+def counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestBatchedBuild:
     @pytest.mark.parametrize("n, J", [(1, 1006), (2, 38)])
-    def test_one_gauss_rule_and_one_kernel_call_per_axis(self, monkeypatch, n, J):
-        # counts, not times: per-(cell, k) work would call these per cell
+    def test_one_gauss_rule_and_one_kernel_call(self, monkeypatch, n, J):
+        # counts, not times: per-(cell, k) or per-axis work would call these more
         r = 3
         calls = {"gauss": 0, "kernel": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(smoothness, "gauss_rule", counting("gauss", smoothness.gauss_rule))
+        monkeypatch.setattr(smoothness, "gauss_rule",
+                            counting(calls, "gauss", smoothness.gauss_rule))
         monkeypatch.setattr(smoothness, "derivative_samples",
-                            counting("kernel", smoothness.derivative_samples))
+                            counting(calls, "kernel", smoothness.derivative_samples))
         rng = np.random.default_rng(7)
         grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
         gf = GridFunction(grid, rng.normal(size=grid.shape))
@@ -309,4 +345,19 @@ class TestBatchedBuild:
         pts = np.stack([m.ravel() for m in np.meshgrid(*mids, indexing="ij")], axis=1)
         assert pts.shape[0] >= 1000
         pweno.interpolate_batch(gf, pts if n > 1 else pts[:, 0], pweno.WenoParams(r=r))
-        assert calls == {"gauss": 1, "kernel": n}
+        assert calls == {"gauss": 1, "kernel": 1}
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3) for r in (2, 3, 4)])
+    def test_one_kernel_pass_per_call(self, monkeypatch, n, r):
+        # every (cell, offset k) row goes through one _indicator_values call,
+        # not one call per k
+        calls = {"pass": 0}
+        monkeypatch.setattr(smoothness, "_indicator_values",
+                            counting(calls, "pass", smoothness._indicator_values))
+        rng = np.random.default_rng(10 * n + r)
+        J = 2 * r + 3
+        grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
+        gf = GridFunction(grid, rng.normal(size=grid.shape))
+        cells = rng.integers(r, J - r + 2, size=(12, n))
+        assert indicator_tables(gf, cells, r).shape == (12,) + (r,) * n
+        assert calls == {"pass": 1}

@@ -172,9 +172,9 @@ class TestLinearLimit:
             x = [0.5 * (ax.nodes[5] + ax.nodes[6]) for ax in gf.grid.axes]
             assert interpolate_nd(gf, x, WenoParams(r=3, method="linear")).indicators is None
             assert calls == []
-            # the counter is live: the progressive method samples once per axis
+            # the counter is live: the progressive method samples once per call
             assert interpolate_nd(gf, x, WenoParams(r=3)).indicators.shape == (3,) * n
-            assert len(calls) == n
+            assert len(calls) == 1
             calls.clear()
 
 
@@ -434,6 +434,20 @@ class TestBatchEngine:
                 pts = full_window_points(gf, r, 8, rng)
                 for method in METHODS:
                     assert_both_match_reference(gf, pts, WenoParams(r=r, method=method))
+
+    @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from(METHODS),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_single_point_bit_for_bit(self, n, r, method, seed):
+        # a point's answer does not depend on the other points of its call
+        gf = random_gf(n, 2 * r + 3, seed=seed % 10**6)
+        pts = full_window_points(gf, r, 6, np.random.default_rng(seed))
+        params = WenoParams(r=r, method=method)
+        batch = interpolate_batch(gf, pts, params)
+        single = [interpolate_nd(gf, p, params) for p in pts]
+        np.testing.assert_array_equal(batch.values, [s.value for s in single])
+        np.testing.assert_array_equal(batch.cells, [s.cell.i for s in single])
+        np.testing.assert_array_equal(batch.fallback, [s.linear_fallback for s in single])
 
     def test_matches_scalar_with_override(self):
         gf = random_gf(1, 16, seed=6)
