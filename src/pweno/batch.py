@@ -2,7 +2,8 @@
 
 interpolate_batch runs the same engine as interpolate_nd, for any dimension,
 on all points together: windows are gathered per point and indicator tables
-are built once per distinct cell.
+are built once per distinct cell, and only for cells no earlier call on the
+same grid function built.
 """
 from __future__ import annotations
 

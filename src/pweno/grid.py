@@ -2,7 +2,8 @@
 
 Nodes along each axis are strictly increasing float64 arrays. Cells are the
 half-open intervals (x_{i-1}, x_i]; a query equal to the left domain endpoint
-belongs to cell 1. All grid objects are immutable after construction.
+belongs to cell 1. All grid objects are immutable after construction: each
+keeps a read-only copy of the arrays it was given.
 """
 from __future__ import annotations
 
@@ -24,9 +25,13 @@ class InsufficientStencilError(GridError):
 
 
 def _float_array(data, name: str) -> np.ndarray:
-    """A grid field as a float64 array, or GridError naming the field."""
+    """A grid field as a new float64 array, or GridError naming the field.
+
+    A copy, so the caller's array stays as it was and later writes to it
+    cannot reach the grid object.
+    """
     try:
-        return np.asarray(data, dtype=np.float64)
+        return np.array(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise GridError(f"grid field {name!r} must hold numbers in nested lists") from None
 
@@ -118,14 +123,22 @@ class TensorGrid:
 class GridFunction:
     """Samples of a function on a tensor grid.
 
-    values has shape (J_1+1, ..., J_n+1), axis 1 outermost (row-major).
+    values has shape (J_1+1, ..., J_n+1), axis 1 outermost (row-major); the
+    grid function keeps its own read-only copy. It also remembers, per r,
+    the indicator table of every cell it was queried at (see
+    smoothness.indicator_tables), for as long as it lives: a later query in
+    the same cell reuses the table. That costs distinct cells queried x
+    r^n x 8 B per r. The linear method builds no tables.
     """
 
     grid: TensorGrid
     values: np.ndarray
+    # r -> runs of (sorted flat cell indices (K,), their tables (K, r**n)),
+    # read-only; owned by smoothness.indicator_tables
+    _indicator_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _float_array(self.values, "values")
         if values.shape != self.grid.shape:
             raise GridError(
                 f"values shape {values.shape} does not match grid shape {self.grid.shape}"
@@ -139,7 +152,7 @@ class GridFunction:
     def from_callable(cls, grid: TensorGrid, fn) -> "GridFunction":
         """Sample fn on the grid. fn takes n coordinate arrays (broadcast)."""
         mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
-        return cls(grid, np.asarray(fn(*mesh), dtype=np.float64))
+        return cls(grid, fn(*mesh))
 
     def to_dict(self) -> dict:
         out = self.grid.to_dict()
@@ -151,7 +164,7 @@ class GridFunction:
         grid = TensorGrid.from_dict(data)
         if "values" not in data:
             raise GridError("grid-function JSON must contain 'values'")
-        return cls(grid, _float_array(data["values"], "values"))
+        return cls(grid, data["values"])
 
 
 @dataclass(frozen=True)

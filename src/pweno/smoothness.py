@@ -29,7 +29,9 @@ sliding-window view of the grid values, so memory does not grow with the
 number of cells. The samples of every sub-stencil on every axis come from
 one derivative_samples call at one cached Gauss rule. Indicators are
 computed once per distinct cell at level r; higher recursion levels reuse
-them by index shifts.
+them by index shifts. Each grid function remembers the tables of the cells
+it was queried at, per r, so a later call builds only cells no earlier call
+on it built.
 """
 from __future__ import annotations
 
@@ -196,19 +198,64 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
     return total.reshape(nc, per_cell)
 
 
+def _cell_tables(gf: GridFunction, flat: np.ndarray, r: int) -> np.ndarray:
+    """Indicator tables (len(flat), r**n) of the cells with flat indices flat
+    (distinct, sorted): one _sub_stencil_samples and one _indicator_values
+    call."""
+    pts, gw = gauss_rule(r + 1)
+    wts = _square_weights(r + 1, tuple(gw), gf.grid.ndim)
+    cells = np.stack(np.unravel_index(flat, gf.grid.shape), axis=1)
+    S, first, scale = _sub_stencil_samples(gf, cells, r, pts)
+    return _indicator_values(gf, cells, r, S, first, wts) * scale[:, None]
+
+
+def _add_run(runs: tuple, known: np.ndarray, tables: np.ndarray) -> tuple:
+    """runs plus the sorted run (known, tables), merged into the newest runs
+    while they are at most twice as long. Run lengths then more than double
+    from newest to oldest, so a memo of K cells has at most log2(K) + 1 runs
+    to search, and a cell is copied O(log K) times however its cells arrive
+    (one new cell per call would otherwise copy the whole memo per call)."""
+    while runs and runs[-1][0].size <= 2 * known.size:
+        (old, old_tables), runs = runs[-1], runs[:-1]
+        at = np.searchsorted(old, known)
+        known, tables = np.insert(old, at, known), np.insert(old_tables, at, tables, axis=0)
+    known.setflags(write=False)
+    tables.setflags(write=False)
+    return runs + ((known, tables),)
+
+
 def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
-    """Indicator tables for many cells, each built once per distinct cell.
+    """Indicator tables for many cells, each built once per grid function.
 
     cells has shape (npts, n) and must have full 2r windows; the result has
     shape (npts,) + (r,)*n, entry k the indicator of base sub-stencil k
     (nodes i_j - r + k_j .. i_j + k_j on axis j of cell i).
+
+    gf remembers the table of every cell it was asked for at this r, for as
+    long as it lives (distinct cells x r^n x 8 B), so a call builds only the
+    distinct cells no earlier call built. A cell's table does not depend on
+    the other cells of its call, so the answer does not depend on what was
+    asked before. The memo is a tuple of disjoint sorted runs of flat cell
+    indices with their tables, replaced in one assignment, its arrays
+    read-only: concurrent calls may build a cell twice, or drop one another's
+    new cells, but never read a half-built memo.
     """
     n = gf.grid.ndim
-    pts, gw = gauss_rule(r + 1)
-    wts = _square_weights(r + 1, tuple(gw), n)
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
     uniq, inverse = np.unique(flat, return_inverse=True)
-    distinct = np.stack(np.unravel_index(uniq, gf.grid.shape), axis=1)
-    S, first, scale = _sub_stencil_samples(gf, distinct, r, pts)
-    tables = _indicator_values(gf, distinct, r, S, first, wts) * scale[:, None]
-    return tables.reshape((-1,) + (r,) * n)[inverse.ravel()]
+    runs = gf._indicator_memo.get(r, ())
+    hits, missing = [], np.ones(uniq.size, dtype=bool)
+    for known, tables in runs:
+        at = np.minimum(np.searchsorted(known, uniq), known.size - 1)
+        hit = known[at] == uniq
+        hits.append((hit, tables, at[hit]))
+        missing &= ~hit
+    if missing.any():
+        new = uniq[missing]
+        built = _cell_tables(gf, new, r)
+        gf._indicator_memo[r] = _add_run(runs, new, built)
+        hits.append((missing, built, slice(None)))
+    out = np.empty((uniq.size, r ** n))     # after the build, so the two peaks do not add
+    for hit, tables, at in hits:
+        out[hit] = tables[at]
+    return out[inverse.ravel()].reshape((-1,) + (r,) * n)

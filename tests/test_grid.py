@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pweno import WenoParams, interpolate_batch
 from pweno.grid import (
     Grid1D,
     GridError,
@@ -232,3 +233,21 @@ class TestTensorGridAndFunction:
         back = GridFunction.from_dict(gf.to_dict())
         np.testing.assert_array_equal(back.values, gf.values)
         np.testing.assert_array_equal(back.grid.axes[0].nodes, grid.axes[0].nodes)
+
+    def test_keeps_its_own_copy(self):
+        # the caller's arrays stay writable, and writing to them (or to the
+        # writable base of a view) after construction reaches neither the
+        # grid function nor its answers, so its indicator memo cannot go stale
+        nodes = np.linspace(0.0, 1.0, 13)
+        base = np.zeros((2, 13))
+        base[1] = np.sin(3.0 * nodes)
+        gf = GridFunction(TensorGrid((Grid1D(nodes),)), base[1])
+        x, params = [0.37, 0.52, 0.61], WenoParams(r=3)
+        want = interpolate_batch(gf, x, params).values
+        kept = gf.values.copy()
+        assert nodes.flags.writeable and base[1].flags.writeable
+        nodes[1:-1] += 0.01
+        base[1] = np.cos(3.0 * nodes)
+        np.testing.assert_array_equal(gf.values, kept)
+        np.testing.assert_array_equal(gf.grid.axes[0].nodes, np.linspace(0.0, 1.0, 13))
+        np.testing.assert_array_equal(interpolate_batch(gf, x, params).values, want)

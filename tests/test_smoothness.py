@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
 import numpy as np
@@ -16,6 +18,7 @@ from pweno.grid import (
     TensorGrid,
     build_random_grid,
     build_uniform_grid,
+    locate_cells,
 )
 from pweno.smoothness import gauss_rule, indicator_tables
 from reference import indicator_definition, level_lookup
@@ -40,6 +43,11 @@ def indicator_oracle_1d(nodes, values, a, b, h, r):
 
 def make_gf_1d(grid, fn):
     return GridFunction.from_callable(TensorGrid((grid,)), fn)
+
+
+def fresh(gf):
+    """The same grid function with an empty indicator memo."""
+    return GridFunction(gf.grid, gf.values)
 
 
 class TestIndicator1D:
@@ -88,7 +96,7 @@ class TestIndicator1D:
         gf = GridFunction(TensorGrid((g,)), rng.normal(size=13))
         a = indicator(gf, (6,), 3, 0)
         monkeypatch.setattr(smoothness, "gauss_rule", lambda q: gauss_rule(2 * q))
-        b = indicator(gf, (6,), 3, 0)
+        b = indicator(fresh(gf), (6,), 3, 0)     # gf would answer from its memo
         assert b == pytest.approx(a, rel=1e-12)
 
 class TestIndicator2D:
@@ -228,6 +236,32 @@ def table_cases(draw):
     return gf, cells, r
 
 
+def random_gf(rng, n, J):
+    grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
+    return GridFunction(grid, rng.normal(size=grid.shape))
+
+
+@st.composite
+def memo_cases(draw):
+    """A grid function (n = 1..3, with a jump), earlier point sets with
+    their r, and a last point set with its r = 2..4 and method."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    J = 10
+    gf = random_gf(rng, n, J)
+    gf = GridFunction(gf.grid, gf.values + 5.0 * (gf.values > 1.0))
+
+    def points(r, count):
+        lo, hi = (np.array([ax.nodes[i] for ax in gf.grid.axes]) for i in (r - 1, J - r + 1))
+        return hi - (hi - lo) * rng.random((count, n))     # in (lo, hi]
+
+    history = [(points(r0, draw(st.integers(1, 25))), r0)
+               for r0 in draw(st.lists(st.integers(2, 4), max_size=4))]
+    r = draw(st.integers(2, 4))
+    return gf, history, (points(r, 20), r, draw(st.sampled_from(["progressive", "classical",
+                                                                 "linear"])))
+
+
 class TestIndicatorTables:
     @given(table_cases())
     @settings(max_examples=60, deadline=None)
@@ -283,10 +317,10 @@ class TestIndicatorTables:
         assert cells.shape[0] == 50
         full = indicator_tables(gf, cells, r)
         monkeypatch.setattr(smoothness, "_CHUNK_BYTES", 7 * 8 * ((r + 1) ** 2) ** n)
-        chunked = indicator_tables(gf, cells, r)
+        chunked = indicator_tables(fresh(gf), cells, r)
         np.testing.assert_array_equal(chunked, full)
         for cell, table in zip(cells, chunked):
-            np.testing.assert_array_equal(indicator_tables(gf, cell[None], r)[0], table)
+            np.testing.assert_array_equal(indicator_tables(fresh(gf), cell[None], r)[0], table)
 
     @given(table_cases(), st.integers(1, 1 << 21))
     @settings(max_examples=40, deadline=None)
@@ -296,7 +330,7 @@ class TestIndicatorTables:
         with patch.object(smoothness, "_CHUNK_BYTES", chunk_bytes):
             tables = indicator_tables(gf, cells, r)
         for cell, table in zip(cells, tables):
-            np.testing.assert_array_equal(indicator_tables(gf, cell[None], r)[0], table)
+            np.testing.assert_array_equal(indicator_tables(fresh(gf), cell[None], r)[0], table)
 
     def test_peak_memory_is_a_few_chunks(self):
         # 3,600 cells at r = 3: the 32,400 sub-stencil blocks alone take 4.1 MB,
@@ -331,7 +365,9 @@ def counting(calls, name, fn):
 class TestBatchedBuild:
     @pytest.mark.parametrize("n, J", [(1, 1006), (2, 38)])
     def test_one_gauss_rule_and_one_kernel_call(self, monkeypatch, n, J):
-        # counts, not times: per-(cell, k) or per-axis work would call these more
+        # counts, not times: an engine call with new cells (here every cell of
+        # a fresh grid function) samples once; per-(cell, k) or per-axis work
+        # would call these more
         r = 3
         calls = {"gauss": 0, "kernel": 0}
         monkeypatch.setattr(smoothness, "gauss_rule",
@@ -349,8 +385,8 @@ class TestBatchedBuild:
 
     @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3) for r in (2, 3, 4)])
     def test_one_kernel_pass_per_call(self, monkeypatch, n, r):
-        # every (cell, offset k) row goes through one _indicator_values call,
-        # not one call per k
+        # on a fresh grid function every (cell, offset k) row goes through one
+        # _indicator_values call, not one call per k
         calls = {"pass": 0}
         monkeypatch.setattr(smoothness, "_indicator_values",
                             counting(calls, "pass", smoothness._indicator_values))
@@ -361,3 +397,118 @@ class TestBatchedBuild:
         cells = rng.integers(r, J - r + 2, size=(12, n))
         assert indicator_tables(gf, cells, r).shape == (12,) + (r,) * n
         assert calls == {"pass": 1}
+
+
+def memo_cells(gf, r):
+    """Flat indices of the cells gf's indicator memo holds at r, sorted."""
+    runs = gf._indicator_memo.get(r, ())
+    return np.sort(np.concatenate([known for known, _ in runs])) if runs else np.empty(0, int)
+
+
+class TestIndicatorMemo:
+    def counted(self, monkeypatch):
+        calls = {"samples": 0, "pass": 0, "cells": []}
+        real = smoothness._indicator_values
+
+        def kernel(gf, cells, *args):
+            calls["cells"].append(np.ravel_multi_index(tuple(cells.T), gf.grid.shape))
+            return real(gf, cells, *args)
+
+        monkeypatch.setattr(smoothness, "derivative_samples",
+                            counting(calls, "samples", smoothness.derivative_samples))
+        monkeypatch.setattr(smoothness, "_indicator_values", counting(calls, "pass", kernel))
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_repeated_call_builds_nothing(self, monkeypatch, n):
+        r, J = 2, 8
+        rng = np.random.default_rng(n)
+        gf = random_gf(rng, n, J)
+        cells = rng.integers(r, J - r + 2, size=(30, n))
+        first = indicator_tables(gf, cells, r)
+        calls = self.counted(monkeypatch)
+        np.testing.assert_array_equal(indicator_tables(gf, cells[::-1], r), first[::-1])
+        assert (calls["samples"], calls["pass"]) == (0, 0)
+
+    def test_overlapping_call_builds_only_new_cells(self, monkeypatch):
+        r, n, J = 3, 2, 12
+        rng = np.random.default_rng(4)
+        gf = random_gf(rng, n, J)
+
+        def flat(cells):
+            return np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
+
+        before = rng.integers(r, J - r + 2, size=(20, n))
+        indicator_tables(gf, before, r)
+        after = np.concatenate([before[5:15], rng.integers(r, J - r + 2, size=(20, n))])
+        calls = self.counted(monkeypatch)
+        indicator_tables(gf, after, r)
+        new = np.setdiff1d(flat(after), flat(before))
+        assert new.size > 0 and calls["pass"] == 1 and calls["samples"] == 1
+        np.testing.assert_array_equal(calls["cells"][0], new)
+        np.testing.assert_array_equal(memo_cells(gf, r), np.union1d(flat(before), flat(after)))
+
+    def test_linear_method_leaves_memo_empty(self):
+        rng = np.random.default_rng(2)
+        gf = random_gf(rng, 2, 10)
+        pts = rng.uniform(gf.grid.axes[0].nodes[2], gf.grid.axes[0].nodes[8], size=(15, 2))
+        pweno.interpolate_batch(gf, pts, pweno.WenoParams(r=3, method="linear"))
+        pweno.interpolate_nd(gf, pts[0], pweno.WenoParams(r=3, method="linear"))
+        assert gf._indicator_memo == {}
+        pweno.interpolate_batch(gf, pts, pweno.WenoParams(r=3))
+        assert list(gf._indicator_memo) == [3]
+
+    @given(memo_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_warm_equals_fresh(self, case):
+        # whatever was asked of gf before, its answers are a fresh grid
+        # function's bit for bit, and its memo holds exactly the cells asked
+        gf, history, (pts, r, method) = case
+        asked = {}
+        for earlier, r0 in history:
+            pweno.interpolate_batch(gf, earlier, pweno.WenoParams(r=r0))
+            cells = locate_cells(gf.grid, earlier, r0)
+            asked[r0] = np.union1d(asked.get(r0, []),
+                                   np.ravel_multi_index(tuple(cells.T), gf.grid.shape))
+        for r0, want in asked.items():
+            np.testing.assert_array_equal(memo_cells(gf, r0), want)
+        for r0, runs in gf._indicator_memo.items():
+            for known, tables in runs:
+                assert not known.flags.writeable and not tables.flags.writeable
+                assert tables.shape == (known.size, r0 ** gf.grid.ndim)
+                assert (np.diff(known) > 0).all()
+        params = pweno.WenoParams(r=r, method=method)
+        warm, cold = (pweno.interpolate_batch(g, pts, params) for g in (gf, fresh(gf)))
+        for field in ("values", "cells", "fallback"):
+            np.testing.assert_array_equal(getattr(warm, field), getattr(cold, field))
+        for x in pts[:3]:
+            one, ref = (pweno.interpolate_nd(g, x, params) for g in (gf, fresh(gf)))
+            assert (one.value, one.cell, one.linear_fallback) == \
+                (ref.value, ref.cell, ref.linear_fallback)
+            if ref.indicators is None:
+                assert one.indicators is None
+            else:
+                np.testing.assert_array_equal(one.indicators, ref.indicators)
+
+    @given(memo_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_threads_share_one_memo(self, case):
+        # two threads on overlapping cells of one grid function give the bits
+        # of one thread on a fresh one; a lost memo update only costs a rebuild
+        gf, history, (pts, r, method) = case
+        for earlier, r0 in history:
+            pweno.interpolate_batch(gf, earlier, pweno.WenoParams(r=r0))
+        params = pweno.WenoParams(r=r, method=method)
+        half = len(pts) // 2
+        parts = [pts[: half + 5], pts[half - 5:]] * 3
+        want = [pweno.interpolate_batch(fresh(gf), p, params).values for p in parts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(pweno.interpolate_batch, gf, p, params) for p in parts]
+                got = [f.result(timeout=60).values for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
