@@ -223,22 +223,22 @@ def random_axis(rng, J: int) -> Grid1D:
     return Grid1D(np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum())
 
 
+def random_gf(rng, n, J):
+    """Normal samples on n random axes of J cells."""
+    grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
+    return GridFunction(grid, rng.normal(size=grid.shape))
+
+
 @st.composite
 def table_cases(draw):
     n = draw(st.integers(1, 3))
     r = draw(st.integers(2, 3 if n == 3 else 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     J = 2 * r + int(rng.integers(1, 6))
-    grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
-    gf = GridFunction(grid, rng.normal(size=grid.shape))
+    gf = random_gf(rng, n, J)
     ncells = int(rng.integers(1, 4 if n == 3 else 9))
     cells = rng.integers(r, J - r + 2, size=(ncells, n))
     return gf, cells, r
-
-
-def random_gf(rng, n, J):
-    grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
-    return GridFunction(grid, rng.normal(size=grid.shape))
 
 
 @st.composite
@@ -311,8 +311,7 @@ class TestIndicatorTables:
         # chunk; odd m = r + 1 puts rows at every offset of a BLAS call's
         # unrolled blocks
         rng = np.random.default_rng(11)
-        grid = TensorGrid(tuple(random_axis(rng, 14) for _ in range(n)))
-        gf = GridFunction(grid, rng.normal(size=grid.shape))
+        gf = random_gf(rng, n, 14)
         cells = np.unique(rng.integers(r, 14 - r + 2, size=(400, n)), axis=0)[:50]
         assert cells.shape[0] == 50
         full = indicator_tables(gf, cells, r)
@@ -335,12 +334,12 @@ class TestIndicatorTables:
     def test_peak_memory_is_a_few_chunks(self):
         # 3,600 cells at r = 3: the 32,400 sub-stencil blocks alone take 4.1 MB,
         # so gathering them all at once fails here, not only in peak RSS. A
-        # chunk peaks near twice its budget, and the tables exist twice at
-        # the end (per distinct cell and per queried cell)
+        # chunk peaks near twice its budget; the tables exist up to four times
+        # at the end (as built, in the memo, per distinct and per queried
+        # cell), after the chunks are freed
         r, J = 3, 64
         rng = np.random.default_rng(5)
-        grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(2)))
-        gf = GridFunction(grid, rng.normal(size=grid.shape))
+        gf = random_gf(rng, 2, J)
         inner = np.arange(r, J - r + 2)
         cells = np.stack(np.meshgrid(inner, inner, indexing="ij"), axis=-1).reshape(-1, 2)
         assert cells.shape[0] == 3600
@@ -375,9 +374,8 @@ class TestBatchedBuild:
         monkeypatch.setattr(smoothness, "derivative_samples",
                             counting(calls, "kernel", smoothness.derivative_samples))
         rng = np.random.default_rng(7)
-        grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
-        gf = GridFunction(grid, rng.normal(size=grid.shape))
-        mids = [0.5 * (ax.nodes[r:J - r + 1] + ax.nodes[r - 1:J - r]) for ax in grid.axes]
+        gf = random_gf(rng, n, J)
+        mids = [0.5 * (ax.nodes[r:J - r + 1] + ax.nodes[r - 1:J - r]) for ax in gf.grid.axes]
         pts = np.stack([m.ravel() for m in np.meshgrid(*mids, indexing="ij")], axis=1)
         assert pts.shape[0] >= 1000
         pweno.interpolate_batch(gf, pts if n > 1 else pts[:, 0], pweno.WenoParams(r=r))
@@ -392,8 +390,7 @@ class TestBatchedBuild:
                             counting(calls, "pass", smoothness._indicator_values))
         rng = np.random.default_rng(10 * n + r)
         J = 2 * r + 3
-        grid = TensorGrid(tuple(random_axis(rng, J) for _ in range(n)))
-        gf = GridFunction(grid, rng.normal(size=grid.shape))
+        gf = random_gf(rng, n, J)
         cells = rng.integers(r, J - r + 2, size=(12, n))
         assert indicator_tables(gf, cells, r).shape == (12,) + (r,) * n
         assert calls == {"pass": 1}
