@@ -7,8 +7,6 @@ from .bench import (
     BenchConfigError,
     RefinementReport,
     ReportRow,
-    emit_report,
-    report_from_json,
     run_refinement_1d,
     run_refinement_2d,
 )
@@ -59,12 +57,10 @@ __all__ = [
     "build_perturbed_grid",
     "build_random_grid",
     "build_uniform_grid",
-    "emit_report",
     "get_test_function",
     "interpolate_batch",
     "interpolate_nd",
     "refine_dyadic",
-    "report_from_json",
     "run_refinement_1d",
     "run_refinement_2d",
 ]

@@ -1,22 +1,25 @@
 """Grid-refinement studies: errors and numerical orders under dyadic refinement.
 
-1-D runs sample a fixed 10-cell window around the jump cell and report the
-max error per neighboring cell; 2-D runs either aggregate globally (smooth
-targets) or per region around the node nearest the origin (discontinuous
-targets). Orders are log2 ratios of consecutive-level errors.
+Both 1-D and 2-D studies run one level loop. Each level builds one grid
+function on 2^level cells per axis, evaluates one point set in one batch call
+and reports the max error per region. A region is a cell offset s from a
+centre cell: s = -4..4 around the jump cell in 1-D, s in (-5..5) x (-4..4)
+around the node nearest the origin in 2-D (labelled "s1:s2"). Smooth 2-D
+targets report one region, "global", over every full-window cell. A region
+no point lands in reports NaN. Orders are log2 ratios of consecutive-level
+errors.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .batch import interpolate_batch
 from .grid import (
-    Grid1D,
     GridFunction,
     TensorGrid,
     build_perturbed_grid,
@@ -61,16 +64,10 @@ class Bench1DConfig:
 
 
 @dataclass(frozen=True)
-class Bench2DConfig:
-    function: str
-    r: int = 3
-    method: str = "progressive"
-    grid: str = "uniform"
-    seed: int = 0
+class Bench2DConfig(Bench1DConfig):
     level_min: int = 4
     level_max: int = 7
     eval_points: int = 5
-    t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -92,16 +89,6 @@ class RefinementReport:
     fallback_points: int = field(default=0, compare=False)
 
 
-def measure_error(values_true, values_approx) -> float:
-    t = np.asarray(values_true, dtype=np.float64)
-    a = np.asarray(values_approx, dtype=np.float64)
-    if t.shape != a.shape:
-        raise ValueError("value lists must have equal length")
-    if t.size == 0:
-        raise ValueError("value lists must be non-empty")
-    return float(np.max(np.abs(t - a)))
-
-
 def _order(prev: float | None, cur: float) -> float | None:
     if prev is None:
         return None
@@ -112,173 +99,110 @@ def _order(prev: float | None, cur: float) -> float | None:
     return math.log2(prev / cur)
 
 
-def _params(config) -> WenoParams:
-    return WenoParams(r=config.r, method=config.method, t=config.t)
-
-
-def _check_levels(config, min_allowed: int) -> None:
-    if config.level_min > config.level_max:
-        raise BenchConfigError("level range is empty")
-    if config.level_min < min_allowed:
-        raise BenchConfigError(f"levels must start at {min_allowed} or above")
+# per n: the non-uniform grid kind, its coarsest level and its seed axis a
+_NONUNIFORM = {
+    1: ("random", 5, lambda domain, a, seed: build_random_grid(*domain, 2**5, seed)),
+    2: ("perturbed", 4, lambda domain, a, seed: build_perturbed_grid(4, seed + a)),
+}
 
 
 def run_refinement_1d(config: Bench1DConfig) -> RefinementReport:
-    tf = get_test_function(config.function)
-    if tf.ndim != 1:
-        raise BenchConfigError(f"{tf.name} is not a 1-D function")
-    if config.grid not in ("uniform", "random"):
-        raise BenchConfigError(f"unknown 1-D grid kind {config.grid!r}")
-    if config.eval_points < 9:
-        raise BenchConfigError("need at least one evaluation point per cell")
-    _check_levels(config, 5 if config.grid == "random" else 1)
-    params = _params(config)
-    a, b = tf.domain[0]
+    return _run(config, 1)
 
-    seed_grid = None
-    if config.grid == "random":
-        seed_grid = build_random_grid(a, b, 2**5, config.seed)
+
+def run_refinement_2d(config: Bench2DConfig) -> RefinementReport:
+    return _run(config, 2)
+
+
+def _run(config: Bench1DConfig, ndim: int) -> RefinementReport:
+    tf = get_test_function(config.function)
+    if tf.ndim != ndim:
+        raise BenchConfigError(f"{tf.name} is not a {ndim}-D function")
+    kind, coarsest, seed_axis = _NONUNIFORM[ndim]
+    if config.grid not in ("uniform", kind):
+        raise BenchConfigError(f"unknown {ndim}-D grid kind {config.grid!r}")
+    if ndim == 1 and config.eval_points < 9:
+        raise BenchConfigError("need at least one evaluation point per cell")
+    min_level = 1 if config.grid == "uniform" else coarsest
+    if config.level_min > config.level_max:
+        raise BenchConfigError("level range is empty")
+    if config.level_min < min_level:
+        raise BenchConfigError(f"levels must start at {min_level} or above")
+    params = WenoParams(r=config.r, method=config.method, t=config.t)
+    tau = np.array(tau_values(config.eval_points)) if ndim == 2 else None
+    r = config.r
+
+    # regions are cell offsets -half..half per axis; None is the one global region
+    half = (4,) if ndim == 1 else (5, 4) if tf.discontinuous else None
+    labels = ["global"] if half is None else [
+        ":".join(map(str, s)) for s in itertools.product(*(range(-h, h + 1) for h in half))]
+    seeds = None if config.grid == "uniform" else [
+        seed_axis(tf.domain[a], a, config.seed) for a in range(ndim)]
 
     rows: list[ReportRow] = []
     prev: dict[str, float] = {}
     fallback_total = 0
     for level in range(config.level_min, config.level_max + 1):
-        if config.grid == "uniform":
-            g = build_uniform_grid(a, b, 2**level)
+        if seeds is None:
+            axes = [build_uniform_grid(*tf.domain[a], 2**level) for a in range(ndim)]
         else:
-            g = seed_grid
-            for _ in range(level - 5):
-                g = refine_dyadic(g)
-        gf = GridFunction.from_callable(TensorGrid((g,)), tf.fn)
-        nodes = g.nodes
-        if tf.jump_x is not None:
-            j0 = int(locate_cells_1d(nodes, np.array([tf.jump_x]))[0])
+            axes = seeds
+            for _ in range(level - coarsest):
+                axes = [refine_dyadic(g) for g in axes]
+        gf = GridFunction.from_callable(TensorGrid(tuple(axes)), tf.fn)
+        nodes = [g.nodes for g in axes]
+        n_cells = [g.n_cells for g in axes]
+
+        # the cells a..b of each axis that hold the points; cell i spans
+        # nodes i-1..i, as locate_cells_1d counts them
+        if half is None:
+            spans = [(r, m - r + 1) for m in n_cells]       # every full-stencil cell
         else:
-            j0 = (g.n_cells + 1) // 2
-        if j0 - 5 < 0 or j0 + 4 > g.n_cells:
-            raise BenchConfigError(f"evaluation window leaves the domain at level {level}")
-        if (j0 - 4) - config.r < 0 or (j0 + 4) + config.r - 1 > g.n_cells:
-            raise BenchConfigError(f"stencil windows leave the domain at level {level}")
-        lo, hi = nodes[j0 - 5], nodes[j0 + 4]
-        n = config.eval_points
-        pts = lo + (hi - lo) * np.arange(1, n + 1) / n
+            if ndim == 1:
+                centre = [int(locate_cells_1d(nodes[0], np.array([tf.jump_x]))[0])]
+                if centre[0] - 5 < 0 or centre[0] + 4 > n_cells[0]:
+                    raise BenchConfigError(f"evaluation window leaves the domain at level {level}")
+            else:   # the cell right of the node nearest the origin
+                centre = [int(np.argmin(np.abs(n))) + 1 for n in nodes]
+            spans = [(c - h, c + h) for c, h in zip(centre, half)]
+            if any(a - r < 0 or b + r - 1 > m for (a, b), m in zip(spans, n_cells)):
+                what = "stencil" if ndim == 1 else "region"
+                raise BenchConfigError(f"{what} windows leave the domain at level {level}")
+        if ndim == 1:
+            # eval_points points spread evenly over the window, its right end included
+            (n,), ((a, b),) = nodes, spans
+            k = config.eval_points
+            pts = n[a - 1] + (n[b] - n[a - 1]) * np.arange(1, k + 1) / k
+        else:
+            # tau x tau points in each cell of the window
+            coords = []
+            for n, (a, b) in zip(nodes, spans):
+                x = (n[a - 1 : b, None] + tau * (n[a : b + 1] - n[a - 1 : b])[:, None]).ravel()
+                if half is None and config.grid == "perturbed":
+                    # a perturbed global study keeps the ~11 cells per axis
+                    # nearest the origin (|x| <= 5.5 h), as wide as the region
+                    # studies' s1 window, so it shrinks with h as theirs does
+                    x = x[np.abs(x) <= 5.5 * 2.0 ** (1 - level)]
+                coords.append(x)
+            pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(-1, ndim)
+
         res = interpolate_batch(gf, pts, params)
         fallback_total += int(res.fallback.sum())
-        err = np.abs(tf.fn(pts) - res.values)
-        s_of_pt = res.cells[:, 0] - j0
-        for s in range(-4, 5):
-            mask = s_of_pt == s
-            e = float(err[mask].max()) if mask.any() else float("nan")
-            key = str(s)
+        err = np.abs(tf.fn(*(pts.T if ndim > 1 else (pts,))) - res.values)
+        # one pass over the points: each goes to the region of its located cell
+        if half is None:
+            region = np.zeros(err.size, dtype=np.intp)
+        else:
+            offset, shape = res.cells - [a for a, _ in spans], [2 * h + 1 for h in half]
+            inside = np.all((offset >= 0) & (offset < shape), axis=1)
+            region, err = np.ravel_multi_index(offset[inside].T, shape), err[inside]
+        worst = np.full(len(labels), -np.inf)
+        np.maximum.at(worst, region, err)
+        for key, e in zip(labels, np.where(worst == -np.inf, np.nan, worst).tolist()):
             rows.append(ReportRow(level, key, e, _order(prev.get(key), e)))
             prev[key] = e
     return RefinementReport(config.method, config.r, config.grid, config.seed,
                             config.eval_points, rows, fallback_total)
-
-
-def _axes_2d(config: Bench2DConfig, level: int) -> tuple[Grid1D, Grid1D]:
-    if config.grid == "uniform":
-        ax = build_uniform_grid(-1.0, 1.0, 2**level)
-        return ax, ax
-    ax1 = build_perturbed_grid(4, config.seed)
-    ax2 = build_perturbed_grid(4, config.seed + 1)
-    for _ in range(level - 4):
-        ax1 = refine_dyadic(ax1)
-        ax2 = refine_dyadic(ax2)
-    return ax1, ax2
-
-
-def run_refinement_2d(config: Bench2DConfig) -> RefinementReport:
-    tf = get_test_function(config.function)
-    if tf.ndim != 2:
-        raise BenchConfigError(f"{tf.name} is not a 2-D function")
-    if config.grid not in ("uniform", "perturbed"):
-        raise BenchConfigError(f"unknown 2-D grid kind {config.grid!r}")
-    _check_levels(config, 4 if config.grid == "perturbed" else 1)
-    params = _params(config)
-    tau = np.array(tau_values(config.eval_points))
-
-    rows: list[ReportRow] = []
-    prev: dict[str, float] = {}
-    fallback_total = 0
-    for level in range(config.level_min, config.level_max + 1):
-        ax1, ax2 = _axes_2d(config, level)
-        gf = GridFunction.from_callable(TensorGrid((ax1, ax2)), tf.fn)
-        if tf.discontinuous:
-            new_rows, fb = _region_study(gf, tf, params, tau, level, prev)
-        else:
-            new_rows, fb = _global_study(gf, tf, params, tau, level, prev, config)
-        rows.extend(new_rows)
-        fallback_total += fb
-    return RefinementReport(config.method, config.r, config.grid, config.seed,
-                            config.eval_points, rows, fallback_total)
-
-
-def _region_study(gf, tf, params, tau, level, prev):
-    """Per-region errors around the node nearest the origin (jump studies)."""
-    r = params.r
-    n1 = gf.grid.axes[0].nodes
-    n2 = gf.grid.axes[1].nodes
-    c1 = int(np.argmin(np.abs(n1)))
-    c2 = int(np.argmin(np.abs(n2)))
-    s1_range = range(-5, 6)
-    s2_range = range(-4, 5)
-    if (c1 - 5 + 1) - r < 0 or (c1 + 5 + 1) + r - 1 > gf.grid.axes[0].n_cells:
-        raise BenchConfigError(f"region windows leave the domain at level {level}")
-    if (c2 - 4 + 1) - r < 0 or (c2 + 4 + 1) + r - 1 > gf.grid.axes[1].n_cells:
-        raise BenchConfigError(f"region windows leave the domain at level {level}")
-
-    # region (s1, s2) holds the tau x tau points of cell (c1 + s1, c2 + s2),
-    # regions in row-major (s1, s2) order and tau1 before tau2 within each
-    j1 = c1 + np.array(s1_range)
-    j2 = c2 + np.array(s2_range)
-    x1 = n1[j1, None] + tau * (n1[j1 + 1] - n1[j1])[:, None]
-    x2 = n2[j2, None] + tau * (n2[j2 + 1] - n2[j2])[:, None]
-    pts = np.empty((len(s1_range), len(s2_range), tau.size, tau.size, 2))
-    pts[..., 0] = x1[:, None, :, None]
-    pts[..., 1] = x2[None, :, None, :]
-    pts = pts.reshape(-1, 2)
-
-    regions = [(s1, s2) for s1 in s1_range for s2 in s2_range]
-    res = interpolate_batch(gf, pts, params)
-    err = np.abs(tf.fn(pts[:, 0], pts[:, 1]) - res.values)
-
-    rows = []
-    npr = tau.size * tau.size
-    for idx, (s1, s2) in enumerate(regions):
-        e = float(err[idx * npr : (idx + 1) * npr].max())
-        key = f"{s1}:{s2}"
-        rows.append(ReportRow(level, key, e, _order(prev.get(key), e)))
-        prev[key] = e
-    return rows, int(res.fallback.sum())
-
-
-def _global_study(gf, tf, params, tau, level, prev, config):
-    """One aggregate error per level over every full-window cell (smooth studies)."""
-    r = params.r
-    coords = []
-    for axis in range(2):
-        nodes = gf.grid.axes[axis].nodes
-        ncells = gf.grid.axes[axis].n_cells
-        left = nodes[r - 1 : ncells - r + 1]
-        right = nodes[r : ncells - r + 2]
-        pts = (left[:, None] + tau[None, :] * (right - left)[:, None]).ravel()
-        if config.grid == "perturbed":
-            half = 5.5 * 2.0 ** (1 - level)
-            pts = pts[np.abs(pts) <= half]
-        coords.append(pts)
-    g1, g2 = np.meshgrid(coords[0], coords[1], indexing="ij")
-    pts = np.column_stack([g1.ravel(), g2.ravel()])
-    if pts.shape[0] == 0:
-        e = float("nan")
-        row = ReportRow(level, "global", e, _order(prev.get("global"), e))
-        prev["global"] = e
-        return [row], 0
-    res = interpolate_batch(gf, pts, params)
-    e = measure_error(tf.fn(pts[:, 0], pts[:, 1]), res.values)
-    row = ReportRow(level, "global", e, _order(prev.get("global"), e))
-    prev["global"] = e
-    return [row], int(res.fallback.sum())
 
 
 def _fmt(x: float | None) -> str:
@@ -330,23 +254,3 @@ def report_to_text(report: RefinementReport, format: str) -> str:
     if format == "json":
         return _to_json(report)
     raise BenchConfigError(f"unknown report format {format!r}")
-
-
-def emit_report(report: RefinementReport, format: str, path) -> None:
-    Path(path).write_text(report_to_text(report, format), encoding="utf-8")
-
-
-def report_from_json(path) -> RefinementReport:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = [
-        ReportRow(
-            int(row["level"]),
-            str(row["region"]),
-            float("nan") if row["error"] is None else float(row["error"]),
-            None if row["order"] is None else float(row["order"]),
-        )
-        for row in obj["rows"]
-    ]
-    return RefinementReport(obj["method"], int(obj["r"]), obj["grid"],
-                            int(obj["seed"]), int(obj["eval_points"]), rows,
-                            int(obj.get("fallback_points", 0)))

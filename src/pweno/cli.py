@@ -29,19 +29,21 @@ def _parse_levels(text: str) -> tuple[int, int]:
         raise BenchConfigError(f"levels must be integers, got {text!r}") from None
 
 
-def _add_bench_flags(p, functions, grids, eval_default, levels_default):
+def _add_bench_flags(p, functions, grids, config):
     p.add_argument("--function", required=True, choices=functions)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--method", choices=METHODS, default="progressive")
-    p.add_argument("--grid", choices=grids, default=grids[0])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", default=levels_default, metavar="LMIN..LMAX")
-    p.add_argument("--eval-points", type=int, default=eval_default)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--r", type=int, default=config.r)
+    p.add_argument("--method", choices=METHODS, default=config.method)
+    p.add_argument("--grid", choices=grids, default=config.grid)
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument("--levels", default=f"{config.level_min}..{config.level_max}",
+                   metavar="LMIN..LMAX")
+    p.add_argument("--eval-points", type=int, default=config.eval_points)
+    p.add_argument("--t", type=float, default=config.t)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 if the linear-weight fallback was triggered")
+    p.set_defaults(func=_cmd_bench)
 
 
 def _finish(text: str, out, strict: bool, fallback_points: int) -> int:
@@ -56,26 +58,15 @@ def _finish(text: str, out, strict: bool, fallback_points: int) -> int:
     return 0
 
 
-def _cmd_bench1d(args) -> int:
+def _cmd_bench(args) -> int:
     lo, hi = _parse_levels(args.levels)
-    config = Bench1DConfig(
+    one_d = args.command == "bench1d"
+    config = (Bench1DConfig if one_d else Bench2DConfig)(
         function=args.function, r=args.r, method=args.method, grid=args.grid,
         seed=args.seed, level_min=lo, level_max=hi,
         eval_points=args.eval_points, t=args.t,
     )
-    report = run_refinement_1d(config)
-    return _finish(report_to_text(report, args.format), args.out, args.strict,
-                   report.fallback_points)
-
-
-def _cmd_bench2d(args) -> int:
-    lo, hi = _parse_levels(args.levels)
-    config = Bench2DConfig(
-        function=args.function, r=args.r, method=args.method, grid=args.grid,
-        seed=args.seed, level_min=lo, level_max=hi,
-        eval_points=args.eval_points, t=args.t,
-    )
-    report = run_refinement_2d(config)
+    report = run_refinement_1d(config) if one_d else run_refinement_2d(config)
     return _finish(report_to_text(report, args.format), args.out, args.strict,
                    report.fallback_points)
 
@@ -99,12 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("bench1d", help="1-D jump-window refinement study")
-    _add_bench_flags(p1, ("f1", "f2"), ("uniform", "random"), 10000, "5..9")
-    p1.set_defaults(func=_cmd_bench1d)
+    _add_bench_flags(p1, ("f1", "f2"), ("uniform", "random"), Bench1DConfig)
 
     p2 = sub.add_parser("bench2d", help="2-D refinement study")
-    _add_bench_flags(p2, ("f3", "f4", "f5"), ("uniform", "perturbed"), 5, "4..7")
-    p2.set_defaults(func=_cmd_bench2d)
+    _add_bench_flags(p2, ("f3", "f4", "f5"), ("uniform", "perturbed"), Bench2DConfig)
 
     p3 = sub.add_parser("interp", help="interpolate stored grid data at query points")
     p3.add_argument("--data", required=True, help="grid-function JSON file")
@@ -122,7 +111,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -230,31 +230,18 @@ def refine_dyadic(g: Grid1D) -> Grid1D:
     return Grid1D(out)
 
 
-def build_perturbed_grid(level: int, seed: int, offsets: np.ndarray | None = None) -> Grid1D:
+def build_perturbed_grid(level: int, seed: int) -> Grid1D:
     """Perturbed uniform grid on [-1, 1]: nodes -1 + i*h + eps_i, h = 2^(1-level).
 
     eps_i ~ U[-h/2, h/2] drawn in index order for interior nodes; endpoints are
     clamped to -1 and 1. If a draw breaks monotonicity, only the offending
-    offsets are redrawn, at most 100 attempts. `offsets` is a test hook: an
-    array of length 2^level + 1 used verbatim (endpoints still clamped).
+    offsets are redrawn, at most 100 attempts.
     """
     if level < 1:
         raise GridError(f"invalid level: need level >= 1, got {level}")
     J = 2 ** level
     h = 2.0 ** (1 - level)
     base = -1.0 + h * np.arange(J + 1)
-    if offsets is not None:
-        eps = np.asarray(offsets, dtype=np.float64).copy()
-        if eps.shape != (J + 1,):
-            raise GridError(f"offsets must have length {J + 1}")
-        eps[0] = 0.0
-        eps[-1] = 0.0
-        nodes = base + eps
-        if not np.all(np.diff(nodes) > 0.0):
-            raise GridError("supplied offsets break monotonicity")
-        nodes[0] = -1.0
-        nodes[-1] = 1.0
-        return Grid1D(nodes)
     rng = np.random.default_rng(seed)
     eps = np.zeros(J + 1)
     eps[1:J] = rng.uniform(-h / 2, h / 2, J - 1)

@@ -11,9 +11,6 @@ from pweno.bench import (
     BenchConfigError,
     RefinementReport,
     ReportRow,
-    emit_report,
-    measure_error,
-    report_from_json,
     report_to_text,
     run_refinement_1d,
     run_refinement_2d,
@@ -21,22 +18,6 @@ from pweno.bench import (
 )
 
 CSV_HEADER = "level,region,error,order,method,r,grid,seed"
-
-
-class TestMeasureError:
-    def test_identical_values_give_zero(self):
-        assert measure_error([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_max_abs_difference(self):
-        assert measure_error([1.0, 2.0], [1.0, 2.5]) == 0.5
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            measure_error([1.0, 2.0], [1.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            measure_error([], [])
 
 
 class TestTauValues:
@@ -177,6 +158,44 @@ class TestRun2D:
                                             level_min=4, level_max=4))
 
 
+class TestEmptyRegions:
+    """A region no point lands in: NaN error, empty CSV field, JSON null, no order."""
+
+    @staticmethod
+    def fields(rep, level, region):
+        csv = [line.split(",") for line in report_to_text(rep, "csv").splitlines()[1:]]
+        (line,) = [f for f in csv if f[:2] == [str(level), region]]
+        (row,) = [row for row in json.loads(report_to_text(rep, "json"))["rows"]
+                  if (row["level"], row["region"]) == (level, region)]
+        return line[2], row["error"]
+
+    def test_1d_random_window(self):
+        cfg = Bench1DConfig("f1", r=3, grid="random", seed=14,
+                            level_min=5, level_max=6, eval_points=9)
+        rep = run_refinement_1d(cfg)
+        rows = {(row.level, row.region): row for row in rep.rows}
+        for region in ("-4", "-2", "1"):
+            assert math.isnan(rows[5, region].error)
+            assert rows[5, region].order is None
+            assert rows[6, region].order is None
+            assert self.fields(rep, 5, region) == ("", None)
+        # a zero error gives no order at the next level either
+        assert rows[5, "4"].error == 0.0
+        assert rows[6, "4"].order is None
+
+    @pytest.mark.parametrize("grid", ["uniform", "perturbed"])
+    def test_2d_global_set_empty_at_coarse_level(self, grid):
+        # r = 9 leaves no full-window cell on a 16-cell axis
+        cfg = Bench2DConfig("f3", r=9, grid=grid, level_min=4, level_max=5,
+                            eval_points=1)
+        rep = run_refinement_2d(cfg)
+        assert [(row.level, row.region) for row in rep.rows] == [(4, "global"), (5, "global")]
+        assert math.isnan(rep.rows[0].error)
+        assert np.isfinite(rep.rows[1].error)
+        assert rep.rows[0].order is None and rep.rows[1].order is None
+        assert self.fields(rep, 4, "global") == ("", None)
+
+
 class TestReportFormats:
     @staticmethod
     def small_report():
@@ -212,19 +231,14 @@ class TestReportFormats:
         cfg = Bench1DConfig("f1", r=2, level_min=5, level_max=6, eval_points=900)
         rep = run_refinement_1d(cfg)
         assert all(np.isfinite(row.error) for row in rep.rows)
+        rep.fallback_points = 17
         obj = json.loads(report_to_text(rep, "json"))
         assert obj["method"] == "progressive"
+        assert obj["fallback_points"] == 17
         assert obj["rows"][0]["order"] is None
-
-    def test_json_file_round_trip_preserves_report(self, tmp_path):
-        cfg = Bench1DConfig("f1", r=2, level_min=5, level_max=6, eval_points=900)
-        rep = run_refinement_1d(cfg)
-        rep.fallback_points = 17   # equality ignores it, so check it apart
-        path = tmp_path / "report.json"
-        emit_report(rep, "json", path)
-        back = report_from_json(path)
-        assert back == rep
-        assert back.fallback_points == 17
+        assert [(row["level"], row["region"], row["error"], row["order"])
+                for row in obj["rows"]] == [(row.level, row.region, row.error, row.order)
+                                            for row in rep.rows]
 
     def test_nan_error_is_null_in_json(self):
         obj = json.loads(report_to_text(self.small_report(), "json"))
@@ -234,10 +248,8 @@ class TestReportFormats:
         with pytest.raises(BenchConfigError):
             report_to_text(self.small_report(), "yaml")
 
-    def test_repeat_runs_byte_identical(self, tmp_path):
+    def test_repeat_runs_byte_identical(self):
         cfg = Bench1DConfig("f1", r=3, grid="random", seed=14,
                             level_min=5, level_max=7, eval_points=900)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(run_refinement_1d(cfg), "csv", p1)
-        emit_report(run_refinement_1d(cfg), "csv", p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        first = report_to_text(run_refinement_1d(cfg), "csv")
+        assert report_to_text(run_refinement_1d(cfg), "csv") == first

@@ -89,6 +89,14 @@ class TestBench1D:
         assert main(["bench1d", "--function", "f1", "--levels", "7..6"]) == 2
         capsys.readouterr()
 
+    def test_memory_error_exits_2(self, capsys):
+        # numpy refuses the 7.11 PiB point array before allocating any of it
+        assert main(["bench1d", "--function", "f1", "--levels", "5..5",
+                     "--eval-points", str(10**15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_window_violation_exits_2(self, capsys):
         assert main(["bench1d", "--function", "f1", "--r", "4",
                      "--levels", "3..5", "--eval-points", "900"]) == 2

@@ -124,24 +124,6 @@ class TestBuildPerturbed:
         g2 = build_perturbed_grid(4, seed=2)
         np.testing.assert_array_equal(g1.nodes, g2.nodes)
 
-    def test_offsets_hook(self):
-        level = 2
-        J = 2**level
-        h = 2.0 ** (1 - level)
-        eps = np.array([9.0, 0.1, -0.1, 0.2, 9.0])  # endpoints ignored
-        g = build_perturbed_grid(level, seed=0, offsets=eps)
-        base = -1.0 + h * np.arange(J + 1)
-        np.testing.assert_allclose(g.nodes[1:-1], base[1:-1] + eps[1:-1])
-        assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
-
-    def test_offsets_must_keep_monotonicity(self):
-        with pytest.raises(GridError):
-            build_perturbed_grid(2, seed=0, offsets=np.array([0.0, 0.4, -0.4, 0.0, 0.0]))
-
-    def test_offsets_length_checked(self):
-        with pytest.raises(GridError):
-            build_perturbed_grid(2, seed=0, offsets=np.zeros(3))
-
     def test_invalid_level(self):
         with pytest.raises(GridError):
             build_perturbed_grid(0, seed=0)
