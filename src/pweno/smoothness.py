@@ -24,8 +24,8 @@ live in one cached weight vector. Derivatives are applied before squaring:
 Gram matrices of the squares lose the indicator to cancellation when
 sub-stencil nodes cluster. A row is one (distinct cell, offset k) pair, and
 one kernel pass covers every row of a call. Rows go in chunks of a fixed
-byte budget, and a chunk copies only its own rows' sample blocks out of a
-sliding-window view of the grid values, so memory does not grow with the
+byte budget, and a chunk gathers only its own rows' sample blocks, with
+the engine's window gather grid.blocks, so memory does not grow with the
 number of cells. The samples of every sub-stencil on every axis come from
 one derivative_samples call at one cached Gauss rule. Indicators are
 computed once per distinct cell at level r; higher recursion levels reuse
@@ -38,10 +38,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction
+from .grid import GridFunction, blocks
 
 
 # Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
@@ -141,8 +140,8 @@ def _sub_stencil_samples(gf: GridFunction, cells: np.ndarray, r: int, pts: np.nd
         row = row.ravel()
         first.append(offset + r * row)
         offset += r * axis_cells.size
-        subs.append(ax.nodes[axis_cells[:, None, None] - r + np.arange(r)[:, None]
-                             + np.arange(r + 1)].reshape(-1, r + 1))
+        subs.append(blocks(ax.nodes, (axis_cells[:, None] - r + np.arange(r)).reshape(-1, 1),
+                           r + 1))
         a, b = ax.nodes[axis_cells - 1], ax.nodes[axis_cells]
         half = 0.5 * (b - a)
         xs.append(np.repeat(a[:, None] + half[:, None] * (pts + 1.0), r, axis=0))
@@ -161,18 +160,17 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
     the weights of _square_weights. Rows go in chunks of _CHUNK_BYTES of the
     larger of a row's two big temporaries, its contracted tensor below and
     its samples gathered from S, so memory does not grow with nc; a chunk
-    copies only its own rows' sub-stencil blocks out of a sliding-window view
-    of the grid values. Each axis is contracted once for all its orders by
-    one batched matmul, so a block becomes every mixed derivative at every
-    tensor Gauss point, (m*q, ..., m*q); only then is it squared, weighted
-    and summed, one row at a time.
+    gathers only its own rows' sub-stencil blocks of the grid values. Each
+    axis is contracted once for all its orders by one batched matmul, so a
+    block becomes every mixed derivative at every tensor Gauss point,
+    (m*q, ..., m*q); only then is it squared, weighted and summed, one row
+    at a time.
     """
     nc, n, m = cells.shape[0], cells.shape[1], r + 1
     per_cell = r ** n
     step = max(1, _CHUNK_BYTES // (8 * max(wts.size, np.prod(S.shape[1:]))))
     offsets = np.indices((r,) * n).reshape(n, -1).T     # offset k of each row of a cell
     axes = tuple(range(1, n + 1))
-    blocks = sliding_window_view(gf.values, (m,) * n)   # blocks[i]: the block from node i
     first_node = cells - r
     total = np.empty(nc * per_cell)
     with np.errstate(over="ignore"):    # inf indicators trigger the fallback
@@ -181,7 +179,7 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
             # rows lo..hi-1 lie in cells c0..c1-1, at rows among those cells' rows
             c0, c1 = lo // per_cell, (hi - 1) // per_cell + 1
             rows = slice(lo - c0 * per_cell, hi - c0 * per_cell)
-            T = blocks[tuple((first_node[c0:c1, None] + offsets).reshape(-1, n)[rows].T)]
+            T = blocks(gf.values, (first_node[c0:c1, None] + offsets).reshape(-1, n)[rows], m)
             c = T.shape[0]
             # every term differentiates at least once, so any constant shift
             # is inert; centering makes constant data give exactly zero

@@ -1,15 +1,16 @@
 """The WENO-2r interpolation engine: classical, progressive and linear.
 
 One engine serves every dimension n and every entry point. It gathers the
-2r-per-axis window of each query point into an array of shape
+2r-per-axis window of each query point (grid.blocks) into an array of shape
 (npts, 2r, ..., 2r) and collapses it one axis at a time. Neville's
 recurrence, whose steps are the affine pair weights, reduces each axis from
 2r samples to the r base sub-stencil values. The linear method continues
 those steps to the full 2r-point interpolant. The classical method forms one
 convex combination of the r^n base values, with the optimal weights as
-outer products of per-axis weights. The progressive method runs the
-Aitken-Neville recursion from level r: each node combines its 2^n children
-with indicator-modulated tensor pair weights until one level-(2r-1) value
+outer products of per-axis weights: steps r..2r-2 run on the identity
+(_optimal_weights). The progressive method runs the Aitken-Neville
+recursion from level r: each node combines its 2^n children with
+indicator-modulated tensor pair weights until one level-(2r-1) value
 remains. Indicators are computed once, at level r, and reused at every
 level by index shifts. interpolate_nd is a one-point call of the engine;
 with capture=True it also returns the recursion triangle of its point as
@@ -26,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CellIndex, GridFunction, locate_cells, value_blocks
+from .grid import CellIndex, GridFunction, blocks, locate_cells
 from .smoothness import indicator_tables
-from .weights import classical_optimal_general, pair_keep
+from .weights import pair_keep
 
 METHODS = ("progressive", "classical", "linear")
 
@@ -120,7 +121,8 @@ def nonlinear_pair(linear_weights, indicators, eps: float, t: float):
     """
     C = np.asarray(linear_weights, dtype=np.float64)
     I = np.asarray(indicators, dtype=np.float64)
-    alpha = C / (eps + I) ** t
+    with np.errstate(over="ignore", divide="ignore"):   # inf or 0 sums trigger the fallback
+        alpha = C / (eps + I) ** t
     s = alpha.sum(axis=-1)
     bad = ~np.isfinite(s) | (s <= 0.0)
     omega = np.where(bad[..., None], C, alpha / np.where(bad, 1.0, s)[..., None])
@@ -151,12 +153,20 @@ def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
     for axis, (w, xa) in enumerate(zip(windows, x), start=1):
         lead = (slice(None),) * axis
         for l in levels:
-            size = T.shape[axis] - 1
-            keep = pair_keep(w, xa, l, np.arange(size))
-            keep = keep.reshape(keep.shape[:1] + (1,) * (axis - 1) + (size,)
+            keep = pair_keep(w, xa, l)
+            keep = keep.reshape(keep.shape[:1] + (1,) * (axis - 1) + keep.shape[1:]
                                 + (1,) * (T.ndim - axis - 1))
             T = keep * T[lead + (slice(None, -1),)] + (1.0 - keep) * T[lead + (slice(1, None),)]
     return T
+
+
+def _optimal_weights(windows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Classical optimal weights (npts, r) on one axis, windows (npts, 2r), x
+    (npts,): steps r..2r-2 are linear in the base values, so run on the
+    identity they give each base value's weight in the full interpolant."""
+    npts, r = windows.shape[0], windows.shape[1] // 2
+    eye = np.broadcast_to(np.eye(r), (npts, r, r))
+    return _neville(eye, [windows], [x], range(r, 2 * r - 1))[:, 0]
 
 
 def _outer(factors) -> np.ndarray:
@@ -194,10 +204,10 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
     if weighted:
         eps, t = params.resolve_eps(gf.grid), params.resolve_t()
     cells = locate_cells(gf.grid, pts, r)
-    windows = [ax.nodes[cells[:, a, None] - r + np.arange(2 * r)]
+    windows = [blocks(ax.nodes, cells[:, a, None] - r, 2 * r)
                for a, ax in enumerate(gf.grid.axes)]
     x = pts.T
-    base = _neville(value_blocks(gf, cells - r, 2 * r), windows, x, range(r))
+    base = _neville(blocks(gf.values, cells - r, 2 * r), windows, x, range(r))
     ind = indicator_tables(gf, cells, r) if weighted else None
     fallback = np.zeros(npts, dtype=bool)
     state = None
@@ -205,7 +215,7 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
     if params.method == "linear":
         top = _neville(base, windows, x, range(r, 2 * r - 1))
     elif params.method == "classical":
-        C = _outer([classical_optimal_general(windows[a], x[a]) for a in range(n)])
+        C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)])
         omega, fallback = nonlinear_pair(C.reshape(npts, r ** n), ind.reshape(npts, r ** n),
                                          eps, t)
         top = np.einsum("pk,pk->p", omega, base.reshape(npts, r ** n))
@@ -216,7 +226,7 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
         for l in range(r, 2 * r - 1):
             shift = l - (r - 1)
             size = 2 * r - 1 - l
-            keep = [pair_keep(windows[a], x[a], l, np.arange(size)) for a in range(n)]
+            keep = [pair_keep(windows[a], x[a], l) for a in range(n)]
             nxt = np.empty((npts,) + (size,) * n)
             if state is not None:
                 state.weights[l] = np.empty((size,) * n + (2,) * n)

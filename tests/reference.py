@@ -6,10 +6,10 @@ Aitken-Neville recursion over index tuples with its own scalar pair weights,
 the classical and linear methods as separate branches, and a scalar
 normalization. It shares with pweno only what its own tests pin
 independently: cell location (test_grid), the indicator tables (sympy and
-polyfit oracles in test_smoothness), the classical optimal weights (closed
-forms and path enumeration in test_weights) and WenoParams' eps and t
-(test_weno). It shares none of the engine's gather, base values, pair
-weights, recursion or normalization.
+polyfit oracles in test_smoothness) and WenoParams' eps and t (test_weno).
+It shares none of the engine's gather, base values, pair weights, classical
+optimal weights, recursion or normalization: its optimal weights sum the
+pair-weight products over every root-to-leaf path of the triangle.
 
 Also here: the smoothness indicator by its definition, through numpy's
 polynomial routines and nothing of pweno.smoothness; the closed-form midpoint
@@ -30,7 +30,6 @@ from numpy.polynomial import polynomial as P
 import pweno.weno
 from pweno.grid import CellIndex, GridFunction, InsufficientStencilError, locate_cells
 from pweno.smoothness import indicator_tables
-from pweno.weights import classical_optimal_general
 from pweno.weno import WenoParams
 
 
@@ -146,6 +145,22 @@ def midpoint_weight_pair(r: int, l: int, k: int) -> tuple[float, float]:
     return float(c_keep), float(1.0 - c_keep)
 
 
+def classical_optimal_weights(window, x: float) -> np.ndarray:
+    """Optimal weights of the r base sub-stencils at x: per base node, the
+    sum over every path down the triangle from the top to it of the product
+    of the pair weights taken on the way."""
+    r = len(window) // 2
+    out = np.zeros(r)
+    # from the top, each level l = 2r-2 .. r keeps node j (0) or shifts to j+1 (1)
+    for picks in product((0, 1), repeat=r - 1):
+        weight, j = 1.0, 0
+        for step, pick in enumerate(picks):
+            weight *= pair_weights(window, 2 * r - 2 - step, j, x)[pick]
+            j += pick
+        out[j] += weight
+    return out
+
+
 def classical_optimal_midpoint(r: int) -> np.ndarray:
     """C^r_k = binom(2r, 2k+1) / 2^(2r-1), k = 0..r-1."""
     if r < 1:
@@ -243,7 +258,7 @@ def reference_interpolate(gf: GridFunction, x_star, params: WenoParams,
     t = params.resolve_t()
 
     if params.method == "classical":
-        per_axis = [classical_optimal_general(windows[a], float(x_star[a])) for a in range(n)]
+        per_axis = [classical_optimal_weights(windows[a], float(x_star[a])) for a in range(n)]
         C = per_axis[0]
         for a in range(1, n):
             C = np.multiply.outer(C, per_axis[a])

@@ -11,6 +11,7 @@ from pweno.grid import (
     InsufficientStencilError,
     OutOfDomainError,
     TensorGrid,
+    blocks,
     build_perturbed_grid,
     build_random_grid,
     build_uniform_grid,
@@ -46,7 +47,6 @@ class TestGrid1D:
         g = Grid1D(np.array([0.0, 1.0, 3.0, 3.5]))
         assert g.h_max == 2.0
         assert g.n_cells == 3
-        assert g.a == 0.0 and g.b == 3.5
 
 
 class TestBuildUniform:
@@ -233,3 +233,31 @@ class TestTensorGridAndFunction:
         np.testing.assert_array_equal(gf.values, kept)
         np.testing.assert_array_equal(gf.grid.axes[0].nodes, np.linspace(0.0, 1.0, 13))
         np.testing.assert_array_equal(interpolate_batch(gf, x, params).values, want)
+
+
+class TestBlocks:
+    @given(n=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_explicit_slicing(self, n, data):
+        # grid values, or a Grid1D's nodes when n = 1; every width, and the
+        # first and last full block on every axis among the starts
+        shape = tuple(data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        if n == 1 and data.draw(st.booleans()):
+            a = Grid1D(np.cumsum(rng.uniform(0.1, 1.0, shape[0] + 1))).nodes
+        else:
+            a = GridFunction(TensorGrid(tuple(Grid1D(np.arange(d + 1.0)) for d in shape)),
+                             rng.normal(size=tuple(d + 1 for d in shape))).values
+        shape = a.shape
+        for width in range(1, min(shape) + 1):
+            last = np.array(shape) - width
+            starts = np.vstack([np.zeros(n, dtype=int), last,
+                                rng.integers(0, last + 1, (3, n))])
+            got = blocks(a, starts, width)
+            assert got.shape == (5,) + (width,) * n
+            assert got.flags.writeable and not np.shares_memory(got, a)
+            for s, block in zip(starts, got):
+                np.testing.assert_array_equal(block, a[tuple(slice(i, i + width) for i in s)])
+            # any leading shape of starts
+            np.testing.assert_array_equal(blocks(a, starts.reshape(5, 1, n), width),
+                                          got[:, None])

@@ -1,12 +1,13 @@
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
 
-from pweno.weights import classical_optimal_general, pair_keep
+from pweno.weights import pair_keep
+from pweno.weno import _optimal_weights
 from reference import (
     classical_optimal_midpoint,
+    classical_optimal_weights,
     lagrange_eval_1d,
     midpoint_weight_pair,
     tensor_weight,
@@ -15,8 +16,13 @@ from reference import (
 
 def pair(w, l, j, x):
     """(c_keep, c_shift) of pair j at level l, from pair_keep."""
-    c_keep = float(pair_keep(np.asarray(w, dtype=np.float64), x, l, np.array([j]))[0])
+    c_keep = float(pair_keep(np.asarray(w, dtype=np.float64), x, l)[j])
     return c_keep, 1.0 - c_keep
+
+
+def optimal(w, x):
+    """The engine's optimal weights (r,) of one window w (2r,) at x."""
+    return _optimal_weights(np.asarray(w, dtype=np.float64)[None], np.array([x]))[0]
 
 
 class TestPairWeights:
@@ -72,6 +78,21 @@ class TestPairWeights:
         assert c_keep == pytest.approx(float(c), abs=1e-15)
         assert c_shift == pytest.approx(float(1 - c), abs=1e-15)
 
+    def test_every_pair_of_a_level(self):
+        # a level-l array has m - l entries, so m - l - 1 pairs, for any
+        # leading shape; each is the formula to the bit
+        rng = np.random.default_rng(5)
+        for r in range(2, 7):
+            m = 2 * r
+            w = np.sort(rng.uniform(0, 1, (4, 3, m)), axis=-1)
+            x = w[..., r - 1] + rng.uniform(0, 1, (4, 3)) * (w[..., r] - w[..., r - 1])
+            for l in range(m - 1):
+                got = pair_keep(w, x, l)
+                assert got.shape == (4, 3, m - l - 1)
+                for j in range(m - l - 1):
+                    want = (x - w[..., j + l + 1]) / (w[..., j] - w[..., j + l + 1])
+                    np.testing.assert_array_equal(got[..., j], want)
+
 
 class TestOptimalWeights:
     def test_midpoint_closed_form(self):
@@ -84,7 +105,7 @@ class TestOptimalWeights:
     def test_general_matches_midpoint_on_uniform(self):
         for r in range(2, 7):
             w = np.arange(2.0 * r)
-            got = classical_optimal_general(w, r - 0.5)
+            got = optimal(w, r - 0.5)
             want = classical_optimal_midpoint(r)
             np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -98,7 +119,7 @@ class TestOptimalWeights:
                     continue
                 v = rng.normal(size=2 * r)
                 x = w[r - 1] + rng.uniform(0, 1) * (w[r] - w[r - 1])
-                c = classical_optimal_general(w, x)
+                c = optimal(w, x)
                 assert c.sum() == pytest.approx(1.0, abs=1e-12)
                 parts = [lagrange_eval_1d(w[k : k + r + 1], v[k : k + r + 1], x)
                          for k in range(r)]
@@ -106,22 +127,15 @@ class TestOptimalWeights:
                 assert float(c @ parts) == pytest.approx(full, rel=1e-11, abs=1e-11)
 
     def test_matches_path_enumeration(self):
-        # brute force: product of pair weights over every root-to-leaf path
+        # brute force: product of pair weights over every root-to-leaf path,
+        # the reference's own weights
         rng = np.random.default_rng(7)
-        r = 3
-        w = np.sort(rng.uniform(0, 1, 2 * r))
-        x = w[r - 1] + 0.4 * (w[r] - w[r - 1])
-        got = classical_optimal_general(w, x)
-        want = np.zeros(r)
-        # choices: at each level l from 2r-2 down to r pick keep (0) or shift (1)
-        for picks in product((0, 1), repeat=r - 1):
-            weight, j = 1.0, 0
-            for step, pick in enumerate(picks):
-                l = 2 * r - 2 - step
-                weight *= pair(w, l, j, x)[pick]
-                j += pick
-            want[j] += weight
-        np.testing.assert_allclose(got, want, atol=1e-14)
+        for r in range(2, 7):
+            w = np.sort(rng.uniform(0, 1, (5, 2 * r)), axis=-1)
+            x = w[:, r - 1] + 0.4 * (w[:, r] - w[:, r - 1])
+            got = _optimal_weights(w, x)
+            want = [classical_optimal_weights(wp, xp) for wp, xp in zip(w, x)]
+            np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_positive_inside_central_cell(self):
         rng = np.random.default_rng(31)
@@ -131,7 +145,7 @@ class TestOptimalWeights:
             if np.diff(w).min() <= 1e-6:
                 continue
             x = w[r - 1] + rng.uniform(1e-6, 1.0) * (w[r] - w[r - 1])
-            c = classical_optimal_general(w, x)
+            c = optimal(w, x)
             assert (c > 0).all()
 
 

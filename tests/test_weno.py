@@ -1,4 +1,5 @@
 import re
+import warnings
 from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
@@ -154,7 +155,7 @@ class TestLinearLimit:
             state = interpolate_nd(gf, x, params, capture=True).neville
         window = gf.grid.axes[0].nodes[4:10]
         for l, w in state.weights.items():
-            c_keep = pair_keep(window, x, l, np.arange(w.shape[0]))
+            c_keep = pair_keep(window, x, l)
             np.testing.assert_allclose(w[:, 0], c_keep, rtol=0, atol=1e-14)
             np.testing.assert_allclose(w[:, 1], 1.0 - c_keep, rtol=0, atol=1e-14)
 
@@ -285,7 +286,7 @@ class TestDiagnostics:
             window = g.nodes[i - r : i + r]
             dev = 0.0
             for l, w in res.neville.weights.items():
-                c_keep = pair_keep(window, x, l, np.arange(w.shape[0]))
+                c_keep = pair_keep(window, x, l)
                 dev = max(dev, np.abs(w[:, 0] - c_keep).max(),
                           np.abs(w[:, 1] - (1.0 - c_keep)).max())
             devs.append(dev)
@@ -366,6 +367,21 @@ class TestFallback:
             assert res.linear_fallback
             want = interpolate_nd(gf, x, WenoParams(r=3, method="linear")).value
             assert res.value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x_scale, f_scale", [(1e100, 1.0), (1e-100, 1e-200)])
+    def test_overflow_and_underflow_of_alpha_fall_back_silently(self, x_scale, f_scale):
+        # (eps + I)^t overflows at x * 1e100 and underflows to 0 at 1e-200
+        # data on a 1e-100 domain: every point takes the fallback, and numpy
+        # raises no RuntimeWarning on the way
+        g = build_uniform_grid(0.0, x_scale, 64)
+        gf = GridFunction.from_callable(
+            TensorGrid((g,)), lambda x: f_scale * np.where(x < 0.4 * x_scale, 0.0, 1.0))
+        pts = x_scale * np.linspace(0.1, 0.9, 50)
+        for method in ("progressive", "classical"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = interpolate_batch(gf, pts, WenoParams(r=3, method=method))
+            assert res.fallback.all()
 
     def test_smooth_data_does_not_fall_back(self):
         gf = random_gf(1, 14, seed=4, fn=lambda x: np.sin(x))
@@ -544,7 +560,7 @@ def engine_cases(draw):
     if draw(st.booleans()):
         values = rng.normal(size=grid.shape)
     else:   # a jump across a tilted plane through the middle of the domain
-        mesh = np.meshgrid(*(ax.nodes / ax.b for ax in axes), indexing="ij")
+        mesh = np.meshgrid(*(ax.nodes / ax.nodes[-1] for ax in axes), indexing="ij")
         values = (sum(m * (a + 1) for a, m in enumerate(mesh)) > 0.5 * n).astype(float)
     gf = GridFunction(grid, values)
     pts = full_window_points(gf, r, 3, rng)
