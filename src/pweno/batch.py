@@ -31,5 +31,5 @@ def interpolate_batch(gf: GridFunction, points, params: WenoParams) -> BatchResu
     """
     pts = _as_points(points, gf.grid.ndim)
     ev = evaluate(gf, pts, params)
-    base = ev.base.reshape(pts.shape[0], params.r ** gf.grid.ndim)
-    return BatchResult(ev.values, ev.cells, base.min(axis=1), base.max(axis=1), ev.fallback)
+    base = ev.base.reshape(params.r ** gf.grid.ndim, pts.shape[0])
+    return BatchResult(ev.values, ev.cells, base.min(axis=0), base.max(axis=0), ev.fallback)

@@ -8,6 +8,7 @@ keeps a read-only copy of the arrays it was given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,20 +170,29 @@ class CellIndex:
         object.__setattr__(self, "i", tuple(int(v) for v in self.i))
 
 
+@lru_cache(maxsize=64)
+def _block_offsets(shape: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat offsets (width,)*n of a block's entries from its first entry, and the
+    flat step (n,) of each axis, in a C-contiguous array; shared, so read-only."""
+    step = np.cumprod((1,) + shape[:0:-1], dtype=np.intp)[::-1]
+    off = np.tensordot(step, np.indices((width,) * len(shape)), 1)
+    off.flags.writeable = step.flags.writeable = False
+    return off, step
+
+
 def blocks(a: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The one window gather: width entries per axis of a from each start.
 
-    a is contiguous with n axes (grid values, or an axis' nodes); starts
+    a is C-contiguous with n axes (grid values, or an axis' nodes); starts
     (..., n), each in 0 .. a.shape[j] - width on axis j, unchecked. Returns
-    a new (starts.shape[:-1] + (width,)*n) array whose block p is
-    a[s_1 : s_1 + width, ..., s_n : s_n + width] for s = starts[p].
+    a new C-contiguous ((width,)*n + starts.shape[:-1]) array, window axes
+    first: [..., p] is a[s_1 : s_1 + width, ..., s_n : s_n + width] for
+    s = starts[p], so every later step runs over rows of all starts.
     """
-    # view[s] is the block from s; read-only, as it aliases a. Built on a's
-    # buffer: as_strided costs more per call and holds ~1.5 MB more memory
-    view = np.ndarray(tuple(d - width + 1 for d in a.shape) + (width,) * a.ndim,
-                      a.dtype, a, 0, a.strides * 2)
-    view.flags.writeable = False
-    return view[tuple(starts[..., j] for j in range(a.ndim))]
+    off, step = _block_offsets(a.shape, width)
+    first = starts @ step
+    # one flat take: indexing a strided view keeps the starts-first memory order
+    return a.take(off.reshape(off.shape + (1,) * first.ndim) + first)
 
 
 def build_uniform_grid(a: float, b: float, J: int) -> Grid1D:

@@ -26,12 +26,14 @@ sub-stencil nodes cluster. A row is one (distinct cell, offset k) pair, and
 one kernel pass covers every row of a call. Rows go in chunks of a fixed
 byte budget, and a chunk gathers only its own rows' sample blocks, with
 the engine's window gather grid.blocks, so memory does not grow with the
-number of cells. The samples of every sub-stencil on every axis come from
-one derivative_samples call at one cached Gauss rule. Indicators are
-computed once per distinct cell at level r; higher recursion levels reuse
-them by index shifts. Each grid function remembers the tables of the cells
-it was queried at, per r, so a later call builds only cells no earlier call
-on it built.
+number of cells; blocks returns window axes first, so a chunk transposes
+its blocks to the rows-first order of the kernel's batched matmuls. The
+samples of every sub-stencil on every axis come from one
+derivative_samples call at one cached Gauss rule. Indicators are computed
+once per distinct cell at level r; higher recursion levels reuse them by
+index shifts. Each grid function remembers the tables of the cells it was
+queried at, per r, so a later call builds only cells no earlier call on it
+built.
 """
 from __future__ import annotations
 
@@ -141,7 +143,7 @@ def _sub_stencil_samples(gf: GridFunction, cells: np.ndarray, r: int, pts: np.nd
         first.append(offset + r * row)
         offset += r * axis_cells.size
         subs.append(blocks(ax.nodes, (axis_cells[:, None] - r + np.arange(r)).reshape(-1, 1),
-                           r + 1))
+                           r + 1).T)
         a, b = ax.nodes[axis_cells - 1], ax.nodes[axis_cells]
         half = 0.5 * (b - a)
         xs.append(np.repeat(a[:, None] + half[:, None] * (pts + 1.0), r, axis=0))
@@ -170,7 +172,6 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
     per_cell = r ** n
     step = max(1, _CHUNK_BYTES // (8 * max(wts.size, np.prod(S.shape[1:]))))
     offsets = np.indices((r,) * n).reshape(n, -1).T     # offset k of each row of a cell
-    axes = tuple(range(1, n + 1))
     first_node = cells - r
     total = np.empty(nc * per_cell)
     with np.errstate(over="ignore"):    # inf indicators trigger the fallback
@@ -180,10 +181,11 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
             c0, c1 = lo // per_cell, (hi - 1) // per_cell + 1
             rows = slice(lo - c0 * per_cell, hi - c0 * per_cell)
             T = blocks(gf.values, (first_node[c0:c1, None] + offsets).reshape(-1, n)[rows], m)
-            c = T.shape[0]
+            c = T.shape[-1]
+            T = np.ascontiguousarray(T.reshape(-1, c).T)
             # every term differentiates at least once, so any constant shift
             # is inert; centering makes constant data give exactly zero
-            T = T - T.mean(axis=axes, keepdims=True)
+            T = T - T.mean(axis=1, keepdims=True)
             for fa, ka in zip(first, offsets.T):
                 # contract the leading sample axis; its (order, point) axis
                 # goes last, so after n axes the axes are back in order

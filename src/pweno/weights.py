@@ -15,11 +15,11 @@ import numpy as np
 def pair_keep(windows: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
     """Left pair weights c_keep = (x - w[j+l+1]) / (w[j] - w[j+l+1]) of level l.
 
-    windows has shape (..., m), m = 2r, and x shape (...). A level-l array
-    has m - l entries, so there are m - l - 1 pairs, j = 0..m-l-2; the result
-    has shape (..., m - l - 1). The right weight is 1 - c_keep, and both lie
-    in (0, 1) for x inside the central cell. No range checks.
+    windows has shape (m, ...), m = 2r, the window axis first, and x shape
+    (...). A level-l array has m - l entries, so there are m - l - 1 pairs,
+    j = 0..m-l-2; the result has shape (m - l - 1, ...). The right weight is
+    1 - c_keep, and both lie in (0, 1) for x inside the central cell. No
+    range checks.
     """
-    x = np.asarray(x, dtype=np.float64)[..., None]
-    right = windows[..., l + 1:]
-    return (x - right) / (windows[..., :-l - 1] - right)
+    right = windows[l + 1:]
+    return (np.asarray(x, dtype=np.float64) - right) / (windows[:-l - 1] - right)

@@ -2,7 +2,9 @@
 
 One engine serves every dimension n and every entry point. It gathers the
 2r-per-axis window of each query point (grid.blocks) into an array of shape
-(npts, 2r, ..., 2r) and collapses it one axis at a time. Neville's
+(2r, ..., 2r, npts) and collapses it one axis at a time. Every per-point
+array keeps the point axis last and contiguous, so each step below runs
+over rows of all points, not over one point's 2r entries. Neville's
 recurrence, whose steps are the affine pair weights, reduces each axis from
 2r samples to the r base sub-stencil values. The linear method continues
 those steps to the full 2r-point interpolant. The classical method forms one
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from numbers import Real
 from typing import NamedTuple
@@ -114,25 +117,28 @@ class InterpResult:
 def nonlinear_pair(linear_weights, indicators, eps: float, t: float):
     """Indicator-modulated normalization of sets of linear weights.
 
-    The candidates run along the last axis; leading axes are independent
+    The candidates run along the first axis; trailing axes are independent
     sets. alpha_v = C_v / (eps + I_v)^t, omega_v = alpha_v / sum(alpha).
     Where the sum underflows to zero or is not finite, the linear weights
-    are returned instead and the second return value is true.
+    are returned instead and the second return value is true. Sums over
+    candidates, here and in evaluate, add rows left to right (reduce): the
+    order of numpy's own sum depends on the trailing shape, so a point's bits
+    would depend on the size of its batch.
     """
     C = np.asarray(linear_weights, dtype=np.float64)
     I = np.asarray(indicators, dtype=np.float64)
     with np.errstate(over="ignore", divide="ignore"):   # inf or 0 sums trigger the fallback
         alpha = C / (eps + I) ** t
-    s = alpha.sum(axis=-1)
+    s = reduce(np.add, alpha)
     bad = ~np.isfinite(s) | (s <= 0.0)
-    omega = np.where(bad[..., None], C, alpha / np.where(bad, 1.0, s)[..., None])
+    omega = np.where(bad, C, alpha / np.where(bad, 1.0, s))
     return omega, bad
 
 
 class Evaluation(NamedTuple):
     """Engine output for npts points: values, cells (npts, n), base values
-    and indicators (npts,) + (r,)*n (indicators None for the linear method),
-    fallback flags, and the captured triangle."""
+    and indicators (r,)*n + (npts,), points last (indicators None for the
+    linear method), fallback flags, and the captured triangle."""
 
     values: np.ndarray
     cells: np.ndarray
@@ -143,37 +149,37 @@ class Evaluation(NamedTuple):
 
 
 def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
-    """Linear Neville steps at the given levels along every axis of T (npts, ...).
+    """Linear Neville steps at the given levels along the leading axes of T
+    (..., npts), one per window (2r, npts).
 
     The step at level l merges neighbours j and j+1 with the pair weights
     c_keep and 1 - c_keep of each point's window; steps 0..r-1 turn 2r
     samples into the r base values, steps r..2r-2 continue to the full
     interpolant.
     """
-    for axis, (w, xa) in enumerate(zip(windows, x), start=1):
+    for axis, (w, xa) in enumerate(zip(windows, x)):
         lead = (slice(None),) * axis
         for l in levels:
             keep = pair_keep(w, xa, l)
-            keep = keep.reshape(keep.shape[:1] + (1,) * (axis - 1) + keep.shape[1:]
-                                + (1,) * (T.ndim - axis - 1))
+            keep = keep.reshape(keep.shape[:1] + (1,) * (T.ndim - axis - 2) + keep.shape[1:])
             T = keep * T[lead + (slice(None, -1),)] + (1.0 - keep) * T[lead + (slice(1, None),)]
     return T
 
 
 def _optimal_weights(windows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Classical optimal weights (npts, r) on one axis, windows (npts, 2r), x
+    """Classical optimal weights (r, npts) on one axis, windows (2r, npts), x
     (npts,): steps r..2r-2 are linear in the base values, so run on the
     identity they give each base value's weight in the full interpolant."""
-    npts, r = windows.shape[0], windows.shape[1] // 2
-    eye = np.broadcast_to(np.eye(r), (npts, r, r))
-    return _neville(eye, [windows], [x], range(r, 2 * r - 1))[:, 0]
+    r, npts = windows.shape[0] // 2, windows.shape[1]
+    eye = np.broadcast_to(np.eye(r)[..., None], (r, r, npts))
+    return _neville(eye, [windows], [x], range(r, 2 * r - 1))[0]
 
 
 def _outer(factors) -> np.ndarray:
-    """Per-point outer product of per-axis arrays (npts, m_a)."""
+    """Per-point outer product of per-axis arrays (m_a, npts)."""
     out = factors[0]
     for f in factors[1:]:
-        out = out[..., None] * f.reshape(f.shape[:1] + (1,) * (out.ndim - 1) + f.shape[1:])
+        out = out[..., None, :] * f
     return out
 
 
@@ -208,7 +214,10 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
                for a, ax in enumerate(gf.grid.axes)]
     x = pts.T
     base = _neville(blocks(gf.values, cells - r, 2 * r), windows, x, range(r))
-    ind = indicator_tables(gf, cells, r) if weighted else None
+    ind = None
+    if weighted:    # the tables are points-first; one copy puts the points last
+        ind = indicator_tables(gf, cells, r).reshape(npts, r ** n)
+        ind = np.ascontiguousarray(ind.T).reshape(base.shape)
     fallback = np.zeros(npts, dtype=bool)
     state = None
 
@@ -216,36 +225,34 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
         top = _neville(base, windows, x, range(r, 2 * r - 1))
     elif params.method == "classical":
         C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)])
-        omega, fallback = nonlinear_pair(C.reshape(npts, r ** n), ind.reshape(npts, r ** n),
+        omega, fallback = nonlinear_pair(C.reshape(r ** n, npts), ind.reshape(r ** n, npts),
                                          eps, t)
-        top = np.einsum("pk,pk->p", omega, base.reshape(npts, r ** n))
+        top = reduce(np.add, omega * base.reshape(r ** n, npts))
     else:
         if capture:
-            state = NevilleState(r=r, ndim=n, values={r: base[0]})
+            state = NevilleState(r=r, ndim=n, values={r: base[..., 0]})
         top = base
         for l in range(r, 2 * r - 1):
             shift = l - (r - 1)
             size = 2 * r - 1 - l
             keep = [pair_keep(windows[a], x[a], l) for a in range(n)]
-            nxt = np.empty((npts,) + (size,) * n)
+            nxt = np.empty((size,) * n + (npts,))
             if state is not None:
                 state.weights[l] = np.empty((size,) * n + (2,) * n)
             for j in product(range(size), repeat=n):
-                C = _outer([np.stack([k[:, ja], 1.0 - k[:, ja]], axis=1)
-                            for k, ja in zip(keep, j)])
+                C = _outer([np.stack([k[ja], 1.0 - k[ja]]) for k, ja in zip(keep, j)])
                 # child j+v reuses the level-r indicator I^r_{j + shift*v}
-                Ij = ind[(slice(None),) + tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
-                omega, bad = nonlinear_pair(C.reshape(npts, 2 ** n), Ij.reshape(npts, 2 ** n),
+                Ij = ind[tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
+                omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), Ij.reshape(2 ** n, npts),
                                             eps, t)
                 fallback |= bad
-                kids = top[(slice(None),) + tuple(slice(ja, ja + 2) for ja in j)]
-                nxt[(slice(None),) + j] = np.einsum("pv,pv->p", omega,
-                                                    kids.reshape(npts, 2 ** n))
+                kids = top[tuple(slice(ja, ja + 2) for ja in j)]
+                nxt[j] = reduce(np.add, omega * kids.reshape(2 ** n, npts))
                 if state is not None:
-                    state.weights[l][j] = omega[0].reshape((2,) * n)   # lexicographic v
+                    state.weights[l][j] = omega[:, 0].reshape((2,) * n)   # lexicographic v
             top = nxt
             if state is not None:
-                state.values[l + 1] = top[0]
+                state.values[l + 1] = top[..., 0]
     return Evaluation(top.reshape(npts), cells, base, ind, fallback, state)
 
 
@@ -257,6 +264,6 @@ def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
     """
     pts = _as_points([x_star], gf.grid.ndim)
     ev = evaluate(gf, pts, params, capture)
-    ind = None if ev.indicators is None else ev.indicators[0]
-    return InterpResult(float(ev.values[0]), CellIndex(tuple(ev.cells[0])), ind, ev.base[0],
+    ind = None if ev.indicators is None else ev.indicators[..., 0]
+    return InterpResult(float(ev.values[0]), CellIndex(tuple(ev.cells[0])), ind, ev.base[..., 0],
                         linear_fallback=bool(ev.fallback[0]), neville=ev.state)

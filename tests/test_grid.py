@@ -254,10 +254,14 @@ class TestBlocks:
             starts = np.vstack([np.zeros(n, dtype=int), last,
                                 rng.integers(0, last + 1, (3, n))])
             got = blocks(a, starts, width)
-            assert got.shape == (5,) + (width,) * n
+            # window axes first and the starts last, contiguous in that order
+            assert got.shape == (width,) * n + (5,)
+            assert got.flags.c_contiguous
             assert got.flags.writeable and not np.shares_memory(got, a)
-            for s, block in zip(starts, got):
-                np.testing.assert_array_equal(block, a[tuple(slice(i, i + width) for i in s)])
+            for p, s in enumerate(starts):
+                np.testing.assert_array_equal(got[..., p],
+                                              a[tuple(slice(i, i + width) for i in s)])
             # any leading shape of starts
-            np.testing.assert_array_equal(blocks(a, starts.reshape(5, 1, n), width),
-                                          got[:, None])
+            more = blocks(a, starts.reshape(5, 1, n), width)
+            assert more.flags.c_contiguous
+            np.testing.assert_array_equal(more, got[..., None])

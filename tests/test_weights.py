@@ -22,7 +22,7 @@ def pair(w, l, j, x):
 
 def optimal(w, x):
     """The engine's optimal weights (r,) of one window w (2r,) at x."""
-    return _optimal_weights(np.asarray(w, dtype=np.float64)[None], np.array([x]))[0]
+    return _optimal_weights(np.asarray(w, dtype=np.float64)[:, None], np.array([x]))[:, 0]
 
 
 class TestPairWeights:
@@ -80,18 +80,18 @@ class TestPairWeights:
 
     def test_every_pair_of_a_level(self):
         # a level-l array has m - l entries, so m - l - 1 pairs, for any
-        # leading shape; each is the formula to the bit
+        # trailing shape after the window axis; each is the formula to the bit
         rng = np.random.default_rng(5)
         for r in range(2, 7):
             m = 2 * r
-            w = np.sort(rng.uniform(0, 1, (4, 3, m)), axis=-1)
-            x = w[..., r - 1] + rng.uniform(0, 1, (4, 3)) * (w[..., r] - w[..., r - 1])
+            w = np.sort(rng.uniform(0, 1, (m, 4, 3)), axis=0)
+            x = w[r - 1] + rng.uniform(0, 1, (4, 3)) * (w[r] - w[r - 1])
             for l in range(m - 1):
                 got = pair_keep(w, x, l)
-                assert got.shape == (4, 3, m - l - 1)
+                assert got.shape == (m - l - 1, 4, 3)
                 for j in range(m - l - 1):
-                    want = (x - w[..., j + l + 1]) / (w[..., j] - w[..., j + l + 1])
-                    np.testing.assert_array_equal(got[..., j], want)
+                    want = (x - w[j + l + 1]) / (w[j] - w[j + l + 1])
+                    np.testing.assert_array_equal(got[j], want)
 
 
 class TestOptimalWeights:
@@ -133,7 +133,7 @@ class TestOptimalWeights:
         for r in range(2, 7):
             w = np.sort(rng.uniform(0, 1, (5, 2 * r)), axis=-1)
             x = w[:, r - 1] + 0.4 * (w[:, r] - w[:, r - 1])
-            got = _optimal_weights(w, x)
+            got = _optimal_weights(w.T, x).T
             want = [classical_optimal_weights(wp, xp) for wp, xp in zip(w, x)]
             np.testing.assert_allclose(got, want, atol=1e-14)
 

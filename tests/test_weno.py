@@ -88,15 +88,16 @@ class TestNonlinearPair:
         assert fb
         np.testing.assert_array_equal(w, [0.3, 0.7])
 
-    def test_rows_are_independent_sets(self):
-        C = np.array([[0.5, 0.5], [0.3, 0.7], [0.2, 0.8]])
-        I = np.array([[0.0, 10.0], [np.inf, np.inf], [1.0, 2.0]])
+    def test_columns_are_independent_sets(self):
+        # candidates on the first axis, one set per column
+        C = np.array([[0.5, 0.5], [0.3, 0.7], [0.2, 0.8]]).T
+        I = np.array([[0.0, 10.0], [np.inf, np.inf], [1.0, 2.0]]).T
         w, fb = nonlinear_pair(C, I, eps=1e-6, t=2.0)
         np.testing.assert_array_equal(fb, [False, True, False])
-        for row in range(3):
-            w_row, fb_row = nonlinear_pair(C[row], I[row], eps=1e-6, t=2.0)
-            np.testing.assert_array_equal(w[row], w_row)
-            assert fb[row] == fb_row
+        for col in range(3):
+            w_col, fb_col = nonlinear_pair(C[:, col], I[:, col], eps=1e-6, t=2.0)
+            np.testing.assert_array_equal(w[:, col], w_col)
+            assert fb[col] == fb_col
 
 
 class TestParams:
@@ -464,6 +465,26 @@ class TestBatchEngine:
         np.testing.assert_array_equal(batch.values, [s.value for s in single])
         np.testing.assert_array_equal(batch.cells, [s.cell.i for s in single])
         np.testing.assert_array_equal(batch.fallback, [s.linear_fallback for s in single])
+
+    @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from(METHODS),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_answers_do_not_depend_on_batch_make_up(self, n, r, method, seed):
+        # a point alone, in a batch of two and inside a permuted batch gives
+        # the same bits: sums over candidates keep one order for any batch size
+        gf = random_gf(n, 2 * r + 3, seed=seed % 10**6)
+        rng = np.random.default_rng(seed)
+        pts = full_window_points(gf, r, 7, rng)
+        params = WenoParams(r=r, method=method)
+        perm = rng.permutation(len(pts))
+        full, permuted = interpolate_batch(gf, pts, params), interpolate_batch(gf, pts[perm], params)
+        for p in range(len(pts)):
+            alone = interpolate_batch(gf, pts[p:p + 1], params)
+            pair = interpolate_batch(gf, pts[[p, (p + 3) % len(pts)]], params)
+            for res, at in ((pair, 0), (full, p), (permuted, np.flatnonzero(perm == p)[0])):
+                np.testing.assert_array_equal(res.values[at], alone.values[0])
+                np.testing.assert_array_equal(res.cells[at], alone.cells[0])
+                assert res.fallback[at] == alone.fallback[0]
 
     def test_matches_scalar_with_override(self):
         gf = random_gf(1, 16, seed=6)
