@@ -1,9 +1,10 @@
 """Many query points at once through the WENO engine of weno.py.
 
 interpolate_batch runs the same engine as interpolate_nd, for any dimension,
-on all points together: windows are gathered per point and indicator tables
-are built once per distinct cell, and only for cells no earlier call on the
-same grid function built.
+on all points together: it sorts them once and runs them in chunks of a
+fixed byte budget, so its memory does not grow with the number of points,
+and builds indicator tables once per distinct cell, in one call, and only
+for cells no earlier call on the same grid function built.
 """
 from __future__ import annotations
 
@@ -29,7 +30,4 @@ def interpolate_batch(gf: GridFunction, points, params: WenoParams) -> BatchResu
 
     points has shape (npts, n), or (npts,) for 1-D data; npts may be 0.
     """
-    pts = _as_points(points, gf.grid.ndim)
-    ev = evaluate(gf, pts, params)
-    base = ev.base.reshape(params.r ** gf.grid.ndim, pts.shape[0])
-    return BatchResult(ev.values, ev.cells, base.min(axis=0), base.max(axis=0), ev.fallback)
+    return BatchResult(*evaluate(gf, _as_points(points, gf.grid.ndim), params))

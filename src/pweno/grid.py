@@ -7,6 +7,7 @@ keeps a read-only copy of the arrays it was given.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -143,8 +144,9 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: TensorGrid, fn) -> "GridFunction":
-        """Sample fn on the grid. fn takes n coordinate arrays (broadcast)."""
-        mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
+        """Sample fn on the grid. fn takes n coordinate arrays: read-only views,
+        broadcast to the grid shape."""
+        mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij", copy=False)
         return cls(grid, fn(*mesh))
 
     def to_dict(self) -> dict:
@@ -209,8 +211,8 @@ def build_random_grid(a: float, b: float, J: int, seed: int) -> Grid1D:
 
     Interior nodes are drawn in index order from U(a, b) with numpy's
     seeded default generator (PCG64), so the grid is reproducible per seed.
-    If the sorted draws collide to full precision the whole interior set is
-    redrawn, up to 100 attempts.
+    If the sorted draws collide to full precision (Grid1D rejects them) the
+    whole interior set is redrawn, up to 100 attempts.
     """
     if a >= b:
         raise GridError(f"invalid range: need a < b, got a={a}, b={b}")
@@ -218,10 +220,8 @@ def build_random_grid(a: float, b: float, J: int, seed: int) -> Grid1D:
         raise GridError(f"invalid cell count: need J >= 2, got {J}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        interior = np.sort(a + (b - a) * rng.random(J - 1))
-        nodes = np.concatenate(([a], interior, [b]))
-        if np.all(np.diff(nodes) > 0.0):
-            return Grid1D(nodes)
+        with suppress(GridError):
+            return Grid1D(np.concatenate(([a], np.sort(a + (b - a) * rng.random(J - 1)), [b])))
     raise GridError("degenerate random grid: duplicate nodes after 100 attempts")
 
 

@@ -1,23 +1,30 @@
 """The WENO-2r interpolation engine: classical, progressive and linear.
 
-One engine serves every dimension n and every entry point. It gathers the
-2r-per-axis window of each query point (grid.blocks) into an array of shape
-(2r, ..., 2r, npts) and collapses it one axis at a time. Every per-point
-array keeps the point axis last and contiguous, so each step below runs
-over rows of all points, not over one point's 2r entries. Neville's
-recurrence, whose steps are the affine pair weights, reduces each axis from
-2r samples to the r base sub-stencil values. The linear method continues
-those steps to the full 2r-point interpolant. The classical method forms one
-convex combination of the r^n base values, with the optimal weights as
-outer products of per-axis weights: steps r..2r-2 run on the identity
-(_optimal_weights). The progressive method runs the Aitken-Neville
-recursion from level r: each node combines its 2^n children with
-indicator-modulated tensor pair weights until one level-(2r-1) value
-remains. Indicators are computed once, at level r, and reused at every
-level by index shifts. interpolate_nd is a one-point call of the engine;
-with capture=True it also returns the recursion triangle of its point as
-arrays (NevilleState). batch.interpolate_batch is the many-point call. Both
-read their points through _as_points.
+One engine serves every dimension n and every entry point. _chunk runs the
+method on a chunk of c points: it gathers each point's 2r-per-axis window
+(grid.blocks) into an array of shape (2r, ..., 2r, c) and collapses it one
+axis at a time. Every per-point array keeps the point axis last and
+contiguous, so each step below runs over rows of the chunk's points, not
+over one point's 2r entries. Neville's recurrence, whose steps are the
+affine pair weights, reduces each axis from 2r samples to the r base
+sub-stencil values. The linear method continues those steps to the full
+2r-point interpolant. The classical method forms one convex combination of
+the r^n base values, with the optimal weights as outer products of per-axis
+weights: steps r..2r-2 run on the identity (_optimal_weights). The
+progressive method runs the Aitken-Neville recursion from level r: each node
+combines its 2^n children with indicator-modulated tensor pair weights until
+one level-(2r-1) value remains. Indicators are computed once, at level r,
+and reused at every level by index shifts.
+
+evaluate, behind batch.interpolate_batch, sorts the points once (by x in
+1-D before locating them, as sorted queries locate faster; else by flat
+cell), builds all their cells' indicator tables in one indicator_tables
+call, and runs the sorted points in contiguous chunks of at most
+smoothness._CHUNK_BYTES of value windows (at least _MIN_CHUNK points), so
+memory does not grow with npts. Answers go back in the caller's order; a
+one-chunk call is neither sorted nor scattered. interpolate_nd runs one
+chunk of one point; with capture=True it also returns its recursion
+triangle as arrays (NevilleState). Both read points through _as_points.
 """
 from __future__ import annotations
 
@@ -26,15 +33,18 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from numbers import Real
-from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CellIndex, GridFunction, blocks, locate_cells
+from . import smoothness
+from .grid import CellIndex, GridFunction, InsufficientStencilError, blocks, locate_cells
 from .smoothness import indicator_tables
 from .weights import pair_keep
 
 METHODS = ("progressive", "classical", "linear")
+# Fewest points in a chunk: below about this many, the fixed Python cost per
+# chunk of the progressive levels outweighs the cache a smaller chunk saves.
+_MIN_CHUNK = 1024
 
 
 class WenoError(ValueError):
@@ -135,34 +145,26 @@ def nonlinear_pair(linear_weights, indicators, eps: float, t: float):
     return omega, bad
 
 
-class Evaluation(NamedTuple):
-    """Engine output for npts points: values, cells (npts, n), base values
-    and indicators (r,)*n + (npts,), points last (indicators None for the
-    linear method), fallback flags, and the captured triangle."""
-
-    values: np.ndarray
-    cells: np.ndarray
-    base: np.ndarray
-    indicators: np.ndarray | None
-    fallback: np.ndarray
-    state: NevilleState | None
-
-
 def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
     """Linear Neville steps at the given levels along the leading axes of T
     (..., npts), one per window (2r, npts).
 
-    The step at level l merges neighbours j and j+1 with the pair weights
-    c_keep and 1 - c_keep of each point's window; steps 0..r-1 turn 2r
-    samples into the r base values, steps r..2r-2 continue to the full
-    interpolant.
+    The step at level l merges neighbours a = T[j] and b = T[j+1] with the
+    pair weights c_keep and 1 - c_keep of each point's window as
+    b + c_keep (a - b): one temporary, and no cancellation where the step
+    extrapolates (|c_keep| >> 1), as c_keep a + (1 - c_keep) b has. Steps
+    0..r-1 turn 2r samples into the r base values, steps r..2r-2 continue
+    to the full interpolant.
     """
     for axis, (w, xa) in enumerate(zip(windows, x)):
         lead = (slice(None),) * axis
         for l in levels:
             keep = pair_keep(w, xa, l)
             keep = keep.reshape(keep.shape[:1] + (1,) * (T.ndim - axis - 2) + keep.shape[1:])
-            T = keep * T[lead + (slice(None, -1),)] + (1.0 - keep) * T[lead + (slice(1, None),)]
+            b = T[lead + (slice(1, None),)]
+            T = T[lead + (slice(None, -1),)] - b
+            T *= keep
+            T += b
     return T
 
 
@@ -199,61 +201,85 @@ def _as_points(points, ndim: int) -> np.ndarray:
     return pts
 
 
-def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams,
-             capture: bool = False) -> Evaluation:
-    """Run the configured method at query points pts of shape (npts, n).
+def _eps_t(gf: GridFunction, params: WenoParams):
+    """(eps, t) of the weighted methods, resolved once per call; None for linear."""
+    return None if params.method == "linear" else (params.resolve_eps(gf.grid), params.resolve_t())
 
-    capture records the progressive recursion of the first point.
-    """
-    r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
-    weighted = params.method != "linear"
-    if weighted:
-        eps, t = params.resolve_eps(gf.grid), params.resolve_t()
-    cells = locate_cells(gf.grid, pts, r)
+
+def _chunk(gf: GridFunction, pts: np.ndarray, cells: np.ndarray, tables, params: WenoParams,
+           eps_t, rows: slice, capture: bool = False):
+    """The method at the c points rows of pts (npts, n), cells and tables
+    ((npts,) + (r,)*n, None for the linear method), with eps_t from _eps_t.
+    Returns their c values (in some shape) and fallback flags, base values and
+    indicators (r,)*n + (c,), and with capture the first row's triangle."""
+    r, n, x, cells = params.r, gf.grid.ndim, pts[rows].T, cells[rows]
+    npts = x.shape[1]
     windows = [blocks(ax.nodes, cells[:, a, None] - r, 2 * r)
                for a, ax in enumerate(gf.grid.axes)]
-    x = pts.T
     base = _neville(blocks(gf.values, cells - r, 2 * r), windows, x, range(r))
-    ind = None
-    if weighted:    # the tables are points-first; one copy puts the points last
-        ind = indicator_tables(gf, cells, r).reshape(npts, r ** n)
-        ind = np.ascontiguousarray(ind.T).reshape(base.shape)
     fallback = np.zeros(npts, dtype=bool)
-    state = None
+    if eps_t is None:
+        return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, base, None, None
+    (eps, t), ind = eps_t, tables[rows].reshape(npts, -1).T.copy().reshape(base.shape)
+    if params.method == "classical":
+        C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)]).reshape(r ** n, npts)
+        omega, fallback = nonlinear_pair(C, ind.reshape(r ** n, npts), eps, t)
+        return reduce(np.add, omega * base.reshape(r ** n, npts)), fallback, base, ind, None
+    state = NevilleState(r=r, ndim=n, values={r: base[..., 0]}) if capture else None
+    top = base
+    for l in range(r, 2 * r - 1):
+        shift = l - (r - 1)
+        size = 2 * r - 1 - l
+        keep = [pair_keep(windows[a], x[a], l) for a in range(n)]
+        nxt = np.empty((size,) * n + (npts,))
+        if state is not None:
+            state.weights[l] = np.empty((size,) * n + (2,) * n)
+        for j in product(range(size), repeat=n):
+            C = _outer([np.stack([k[ja], 1.0 - k[ja]]) for k, ja in zip(keep, j)])
+            # child j+v reuses the level-r indicator I^r_{j + shift*v}
+            Ij = ind[tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
+            omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), Ij.reshape(2 ** n, npts),
+                                        eps, t)
+            fallback |= bad
+            kids = top[tuple(slice(ja, ja + 2) for ja in j)]
+            nxt[j] = reduce(np.add, omega * kids.reshape(2 ** n, npts))
+            if state is not None:
+                state.weights[l][j] = omega[:, 0].reshape((2,) * n)   # lexicographic v
+        top = nxt
+        if state is not None:
+            state.values[l + 1] = top[..., 0]
+    return top, fallback, base, ind, state
 
-    if params.method == "linear":
-        top = _neville(base, windows, x, range(r, 2 * r - 1))
-    elif params.method == "classical":
-        C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)])
-        omega, fallback = nonlinear_pair(C.reshape(r ** n, npts), ind.reshape(r ** n, npts),
-                                         eps, t)
-        top = reduce(np.add, omega * base.reshape(r ** n, npts))
-    else:
-        if capture:
-            state = NevilleState(r=r, ndim=n, values={r: base[..., 0]})
-        top = base
-        for l in range(r, 2 * r - 1):
-            shift = l - (r - 1)
-            size = 2 * r - 1 - l
-            keep = [pair_keep(windows[a], x[a], l) for a in range(n)]
-            nxt = np.empty((size,) * n + (npts,))
-            if state is not None:
-                state.weights[l] = np.empty((size,) * n + (2,) * n)
-            for j in product(range(size), repeat=n):
-                C = _outer([np.stack([k[ja], 1.0 - k[ja]]) for k, ja in zip(keep, j)])
-                # child j+v reuses the level-r indicator I^r_{j + shift*v}
-                Ij = ind[tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
-                omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), Ij.reshape(2 ** n, npts),
-                                            eps, t)
-                fallback |= bad
-                kids = top[tuple(slice(ja, ja + 2) for ja in j)]
-                nxt[j] = reduce(np.add, omega * kids.reshape(2 ** n, npts))
-                if state is not None:
-                    state.weights[l][j] = omega[:, 0].reshape((2,) * n)   # lexicographic v
-            top = nxt
-            if state is not None:
-                state.values[l + 1] = top[..., 0]
-    return Evaluation(top.reshape(npts), cells, base, ind, fallback, state)
+
+def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
+    """The configured method at query points pts of shape (npts, n): their
+    values, cells (npts, n), smallest and largest base values and fallback
+    flags, in the caller's order, from sorted chunks (see the module docstring).
+    """
+    r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
+    eps_t = _eps_t(gf, params)
+    chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), _MIN_CHUNK)
+    order = np.argsort(pts[:, 0]) if n == 1 and npts > chunk else None
+    spts = pts if order is None else pts[order]
+    try:
+        cells = locate_cells(gf.grid, spts, r)
+    except InsufficientStencilError:
+        locate_cells(gf.grid, pts, r)   # raises it again, for the caller's first such point
+        raise
+    if n > 1 and npts > chunk:
+        order = np.argsort(np.ravel_multi_index(tuple(cells.T), gf.grid.shape))
+        spts, cells = pts[order], cells[order]
+    tables = None if eps_t is None else indicator_tables(gf, cells, r)
+    values, base_min, base_max = np.empty(npts), np.empty(npts), np.empty(npts)
+    fallback, located = np.empty(npts, dtype=bool), np.empty_like(cells)
+    for lo in range(0, npts, chunk):
+        rows = slice(lo, min(lo + chunk, npts))
+        top, bad, base, _, _ = _chunk(gf, spts, cells, tables, params, eps_t, rows)
+        dest = rows if order is None else order[rows]
+        values[dest], fallback[dest], located[dest] = top.reshape(-1), bad, cells[rows]
+        base = base.reshape(r ** n, -1)
+        base_min[dest], base_max[dest] = base.min(axis=0), base.max(axis=0)
+    return values, located, base_min, base_max, fallback
 
 
 def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
@@ -263,7 +289,11 @@ def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
     progressive method in InterpResult.neville.
     """
     pts = _as_points([x_star], gf.grid.ndim)
-    ev = evaluate(gf, pts, params, capture)
-    ind = None if ev.indicators is None else ev.indicators[..., 0]
-    return InterpResult(float(ev.values[0]), CellIndex(tuple(ev.cells[0])), ind, ev.base[..., 0],
-                        linear_fallback=bool(ev.fallback[0]), neville=ev.state)
+    eps_t = _eps_t(gf, params)
+    cells = locate_cells(gf.grid, pts, params.r)
+    tables = None if eps_t is None else indicator_tables(gf, cells, params.r)
+    top, bad, base, ind, state = _chunk(gf, pts, cells, tables, params, eps_t, slice(0, 1),
+                                        capture)
+    return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0])),
+                        None if ind is None else ind[..., 0], base[..., 0],
+                        linear_fallback=bool(bad[0]), neville=state)

@@ -11,15 +11,17 @@ It shares none of the engine's gather, base values, pair weights, classical
 optimal weights, recursion or normalization: its optimal weights sum the
 pair-weight products over every root-to-leaf path of the triangle.
 
-Also here: the smoothness indicator by its definition, through numpy's
-polynomial routines and nothing of pweno.smoothness; the closed-form midpoint
-weights and the small helpers that only the tests use, among them
-override_indicators, which substitutes a fixed indicator table for the
-engine's.
+Also here: Lagrange evaluation in exact rational arithmetic
+(exact_lagrange_1d); the smoothness indicator by its definition, through
+numpy's polynomial routines and nothing of pweno.smoothness; the
+closed-form midpoint weights and the small helpers that only the tests use,
+among them override_indicators, which substitutes a fixed indicator table
+for the engine's.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import NamedTuple
@@ -60,6 +62,25 @@ def lagrange_eval_1d(nodes, values, x_star: float) -> float:
     if np.unique(nodes).size != nodes.size:
         raise ValueError("duplicate interpolation nodes")
     return float(_neville_last_axis(nodes, values, float(x_star)))
+
+
+def exact_lagrange_1d(nodes, values, x_star) -> float:
+    """Value at x_star of the polynomial interpolating (nodes, values), in
+    exact rational arithmetic on the given floats, rounded once at the end.
+
+    The Lagrange form, term by term in Fractions: no step rounds, so the
+    result is the true value of the interpolant at x_star to half an ulp.
+    """
+    xs = [Fraction(float(v)) for v in nodes]
+    x = Fraction(float(x_star))
+    total = Fraction(0)
+    for i, (xi, fi) in enumerate(zip(xs, values)):
+        term = Fraction(float(fi))
+        for j, xj in enumerate(xs):
+            if j != i:
+                term *= (x - xj) / (xi - xj)
+        total += term
+    return float(total)
 
 
 def tensor_lagrange_eval(gf: GridFunction, starts, width: int, x_star) -> float:

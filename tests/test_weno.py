@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pweno import smoothness
+from pweno import smoothness, weno
 from pweno.batch import interpolate_batch
 from pweno.grid import (
     Grid1D,
@@ -20,10 +21,17 @@ from pweno.grid import (
     TensorGrid,
     build_random_grid,
     build_uniform_grid,
+    locate_cells,
 )
+from pweno.testfunctions import get_test_function
 from pweno.weights import pair_keep
-from pweno.weno import WenoError, WenoParams, interpolate_nd, nonlinear_pair
-from reference import override_indicators, reference_interpolate
+from pweno.weno import WenoError, WenoParams, _optimal_weights, interpolate_nd, nonlinear_pair
+from reference import (
+    classical_optimal_weights,
+    exact_lagrange_1d,
+    override_indicators,
+    reference_interpolate,
+)
 
 METHODS = ("progressive", "classical", "linear")
 
@@ -543,6 +551,105 @@ class TestBatchEngine:
             interpolate_batch(gf, np.array([0.5, np.nan]), WenoParams(r=3))
         with pytest.raises(OutOfDomainError):
             interpolate_nd(gf, [np.nan], WenoParams(r=3))
+
+
+def tiny_chunks(mp, n, r, points):
+    """Within mp, the engine runs chunks of the given number of points."""
+    mp.setattr(smoothness, "_CHUNK_BYTES", points * 8 * (2 * r) ** n)
+    mp.setattr(weno, "_MIN_CHUNK", 1)
+
+
+class TestChunks:
+    @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from(METHODS), st.integers(1, 3),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_boundaries_and_caller_order(self, n, r, method, points, seed):
+        # chunks of 1-3 points, and a caller's order that is not the sorted
+        # one (its first point sorts last): every answer lands on its own
+        # point, bit for bit as in one chunk and as a one-point call
+        gf = random_gf(n, 2 * r + 3, seed=seed % 10**6)
+        rng = np.random.default_rng(seed)
+        pts = full_window_points(gf, r, 9, rng)
+        cells = locate_cells(gf.grid, pts, r)
+        key = pts[:, 0] if n == 1 else np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
+        last = int(np.argmax(key))
+        pts = pts[np.concatenate(([last], rng.permutation(np.delete(np.arange(9), last))))]
+        params = WenoParams(r=r, method=method)
+        whole = interpolate_batch(gf, pts, params)      # one chunk, nothing sorted
+        with pytest.MonkeyPatch.context() as mp:
+            tiny_chunks(mp, n, r, points)
+            chunked = interpolate_batch(gf, pts, params)
+            single = [interpolate_nd(gf, p, params) for p in pts]
+        for name in ("values", "cells", "fallback", "base_min", "base_max"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+        np.testing.assert_array_equal(whole.values, [s.value for s in single])
+        np.testing.assert_array_equal(whole.cells, [s.cell.i for s in single])
+        np.testing.assert_array_equal(whole.fallback, [s.linear_fallback for s in single])
+        np.testing.assert_array_equal(whole.base_min, [s.base_values.min() for s in single])
+        np.testing.assert_array_equal(whole.base_max, [s.base_values.max() for s in single])
+
+    def test_stencil_error_names_the_callers_first_point(self, monkeypatch):
+        # 1-D calls sort their points before locating them; the error still
+        # names the cell of the caller's first point that lacks a window
+        gf = random_gf(1, 12, seed=3)
+        nodes = gf.grid.axes[0].nodes
+        pts = 0.5 * (nodes[:-1] + nodes[1:])[[11, 5, 0, 6]]     # cells 12, 6, 1, 7
+        tiny_chunks(monkeypatch, 1, 3, 1)
+        with pytest.raises(InsufficientStencilError, match="cell 12 lacks"):
+            interpolate_batch(gf, pts, WenoParams(r=3))
+        with pytest.raises(InsufficientStencilError, match="cell 1 lacks"):
+            interpolate_batch(gf, pts[::-1], WenoParams(r=3))
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # a warm 3-D grid function at r = 3: a point's 216-value window lives
+        # only in its chunk, so a call grows by its outputs and its rows of
+        # the indicator tables, not by a window per point
+        r = 3
+        gf = random_gf(3, 12, seed=21)
+        pts = full_window_points(gf, r, 20_000, np.random.default_rng(21))
+        params = WenoParams(r=r)
+        interpolate_batch(gf, pts, params)      # builds every cell's table
+        peaks = []
+        for npts in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                interpolate_batch(gf, pts[:npts], params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 18_000 <= 1024
+
+
+class TestNevilleExactness:
+    def test_clustered_grid_against_exact_arithmetic(self):
+        # a clustered random grid (1,024 cells of f2, as the benchmark's 1-D
+        # batch draws it): at the points whose Neville steps extrapolate
+        # furthest (|c_keep| in the thousands) the step c a + (1 - c) b lost
+        # up to 3.5e-11; b + c (a - b) stays at rounding level
+        r = 3
+        seed = int(np.random.default_rng([1, 1]).integers(2**31))
+        grid = build_random_grid(0.0, 1.0, 1024, seed=seed)
+        gf = GridFunction.from_callable(TensorGrid((grid,)), get_test_function("f2").fn)
+        nodes = grid.nodes
+        x = nodes[-r] - (nodes[-r] - nodes[r - 1]) * np.random.default_rng(1).random(25_000)
+        first = locate_cells(gf.grid, x[:, None], r)[:, 0] - r
+        w = nodes[first[:, None] + np.arange(2 * r)]
+        reach = np.zeros(x.size)
+        for l in range(2 * r - 1):
+            for j in range(2 * r - 1 - l):
+                c = (x - w[:, j + l + 1]) / (w[:, j] - w[:, j + l + 1])
+                reach = np.maximum(reach, np.abs(c))
+        for p in np.argsort(reach)[-60:]:
+            f = gf.values[first[p]:first[p] + 2 * r]
+            base = interpolate_nd(gf, x[p], WenoParams(r=r)).base_values
+            for k in range(r):
+                exact = exact_lagrange_1d(w[p, k:k + r + 1], f[k:k + r + 1], x[p])
+                assert abs(base[k] - exact) <= 1e-13 * (1.0 + abs(exact))
+            full = interpolate_nd(gf, x[p], WenoParams(r=r, method="linear")).value
+            exact = exact_lagrange_1d(w[p], f, x[p])
+            assert abs(full - exact) <= 1e-13 * (1.0 + abs(exact))
+            np.testing.assert_allclose(_optimal_weights(w[p][:, None], x[p:p + 1])[:, 0],
+                                       classical_optimal_weights(w[p], x[p]), atol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 1), ()])
