@@ -107,8 +107,13 @@ def derivative_samples(nodes, points, unit) -> np.ndarray:
             acc *= u
             acc += mono[power]
         mono = mono[1:] * np.arange(1, m - order)[:, None, None]
+    # powers of ratio by repeated products: the bits of numpy's power with
+    # an array exponent depend on the array's length, a product's do not
     ratio = np.asarray(unit, dtype=np.float64) / scale
-    out *= (ratio ** np.arange(m)[:, None])[:, None, None, :]
+    power = ratio
+    for order in range(1, m):
+        out[order] *= power
+        power = power * ratio
     return out.transpose(3, 0, 1, 2)
 
 
