@@ -4,6 +4,13 @@ Nodes along each axis are strictly increasing float64 arrays. Cells are the
 half-open intervals (x_{i-1}, x_i]; a query equal to the left domain endpoint
 belongs to cell 1. All grid objects are immutable after construction: each
 keeps a read-only copy of the arrays it was given.
+
+locate_cells, the engine's cell location, costs one searchsorted per axis
+and one validity test on the whole (npts, n) cell array, whatever the
+number of points: a point below or above the domain, NaN, the first node
+and a cell without a full window all fail that one test. Only a call that
+fails it checks the axes one by one, to raise the error of its first bad
+axis and point.
 """
 from __future__ import annotations
 
@@ -279,18 +286,29 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
     """Central cells of many queries: pts has shape (npts, n), result (npts, n).
 
     With r given, raises InsufficientStencilError unless r <= i_j and
-    i_j + r - 1 <= J_j on every axis.
+    i_j + r - 1 <= J_j on every axis. One searchsorted per axis gives
+    i_j = 0 below the domain and on its first node, J_j + 1 above it and
+    for NaN, so one test of r <= i_j <= J_j - r + 1 (1 <= i_j <= J_j
+    without r) passes every valid query of a call. Only when it fails are
+    the axes located again in order by locate_cells_1d, and the first one
+    with a bad query raises: OutOfDomainError if a query lies outside the
+    domain, else InsufficientStencilError naming its first short cell. A
+    query on the first node is valid only without r or at r = 1, as cell 1.
     """
+    lo = 1 if r is None else r
     cells = np.empty(pts.shape, dtype=np.intp)
     for axis, ax in enumerate(grid.axes):
-        i = locate_cells_1d(ax.nodes, pts[:, axis])
-        if r is not None:
-            short = (i - r < 0) | (i + r - 1 > ax.n_cells)
-            if short.any():
-                raise InsufficientStencilError(
-                    f"cell {i[short][0]} lacks a full {2 * r}-node window on axis {axis} "
-                    f"(axis has {ax.n_cells} cells)"
-                )
+        cells[:, axis] = ax.nodes.searchsorted(pts[:, axis])
+    hi = np.array(grid.shape) - lo
+    if ((cells >= lo) & (cells <= hi)).all():
+        return cells
+    for axis, ax in enumerate(grid.axes):
+        i = locate_cells_1d(ax.nodes, pts[:, axis])     # raises OutOfDomainError
+        short = (i < lo) | (i > hi[axis])
+        if short.any():
+            raise InsufficientStencilError(
+                f"cell {i[short][0]} lacks a full {2 * r}-node window on axis {axis} "
+                f"(axis has {ax.n_cells} cells)"
+            )
         cells[:, axis] = i
     return cells
-

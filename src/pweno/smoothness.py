@@ -243,16 +243,28 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     asked before. The memo is a tuple of disjoint sorted runs of flat cell
     indices with their tables, replaced in one assignment, its arrays
     read-only: concurrent calls may build a cell twice, or drop one another's
-    new cells, but never read a half-built memo.
+    new cells, but never read a half-built memo. Cells sorted by flat index,
+    as evaluate hands them over above one chunk and as a one-point call has
+    them, give their distinct cells by one run-length pass; others by
+    np.unique. The runs are searched oldest (longest) first, and no further
+    once every distinct cell is found.
     """
     n = gf.grid.ndim
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
-    uniq, inverse = np.unique(flat, return_inverse=True)
+    rise = flat[1:] - flat[:-1]
+    if (rise >= 0).all():   # sorted, as from evaluate: distinct cells by run length
+        first = np.ones(flat.size, dtype=bool)
+        np.greater(rise, 0, out=first[1:])
+        uniq, inverse = flat[first], first.cumsum() - 1
+    else:
+        uniq, inverse = np.unique(flat, return_inverse=True)
     runs = gf._indicator_memo.get(r, ())
     hits, missing = [], np.ones(uniq.size, dtype=bool)
     for known, tables in runs:
-        at = np.minimum(np.searchsorted(known, uniq), known.size - 1)
-        hit = known[at] == uniq
+        if not missing.any():   # every cell found; the runs are disjoint
+            break
+        at = known.searchsorted(uniq)
+        hit = known.take(at, mode="clip") == uniq
         hits.append((hit, tables, at[hit]))
         missing &= ~hit
     if missing.any():

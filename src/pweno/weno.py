@@ -25,6 +25,14 @@ memory does not grow with npts. Answers go back in the caller's order; a
 one-chunk call is neither sorted nor scattered. interpolate_nd runs one
 chunk of one point; with capture=True it also returns its recursion
 triangle as arrays (NevilleState). Both read points through _as_points.
+
+The work around the arithmetic is a fixed, small number of array passes per
+call, which is most of a one-point call's cost: grid.locate_cells searches
+once per axis and tests validity once; indicator_tables finds the distinct
+cells of sorted cells (a one-point call, or a call above one chunk) by one
+run-length pass and stops searching its memo once every cell is found; and
+nonlinear_pair applies the linear-weight fallback only when some candidate
+sum is not finite and positive.
 """
 from __future__ import annotations
 
@@ -130,19 +138,22 @@ def nonlinear_pair(linear_weights, indicators, eps: float, t: float):
     The candidates run along the first axis; trailing axes are independent
     sets. alpha_v = C_v / (eps + I_v)^t, omega_v = alpha_v / sum(alpha).
     Where the sum underflows to zero or is not finite, the linear weights
-    are returned instead and the second return value is true. Sums over
+    are returned instead and the second return value is true; the fallback
+    costs its two passes only in calls where some sum needs it. Sums over
     candidates, here and in evaluate, add rows left to right (reduce): the
     order of numpy's own sum depends on the trailing shape, so a point's bits
     would depend on the size of its batch.
     """
     C = np.asarray(linear_weights, dtype=np.float64)
     I = np.asarray(indicators, dtype=np.float64)
-    with np.errstate(over="ignore", divide="ignore"):   # inf or 0 sums trigger the fallback
+    # inf, NaN (0/0) or 0 sums trigger the fallback
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         alpha = C / (eps + I) ** t
     s = reduce(np.add, alpha)
     bad = ~np.isfinite(s) | (s <= 0.0)
-    omega = np.where(bad, C, alpha / np.where(bad, 1.0, s))
-    return omega, bad
+    if bad.any():
+        return np.where(bad, C, alpha / np.where(bad, 1.0, s)), bad
+    return alpha / s, bad
 
 
 def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
@@ -157,13 +168,14 @@ def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
     to the full interpolant.
     """
     for axis, (w, xa) in enumerate(zip(windows, x)):
+        # the window broadcast over T's later axes, so its pair weights are too
+        w = w.reshape(w.shape[:1] + (1,) * (T.ndim - axis - 2) + w.shape[1:])
         lead = (slice(None),) * axis
+        hi, lo = lead + (slice(1, None),), lead + (slice(None, -1),)
         for l in levels:
-            keep = pair_keep(w, xa, l)
-            keep = keep.reshape(keep.shape[:1] + (1,) * (T.ndim - axis - 2) + keep.shape[1:])
-            b = T[lead + (slice(1, None),)]
-            T = T[lead + (slice(None, -1),)] - b
-            T *= keep
+            b = T[hi]
+            T = T[lo] - b
+            T *= pair_keep(w, xa, l)
             T += b
     return T
 
@@ -230,12 +242,14 @@ def _chunk(gf: GridFunction, pts: np.ndarray, cells: np.ndarray, tables, params:
     for l in range(r, 2 * r - 1):
         shift = l - (r - 1)
         size = 2 * r - 1 - l
-        keep = [pair_keep(windows[a], x[a], l) for a in range(n)]
+        # per axis, the pair weights (c_keep, 1 - c_keep) of every node: (2, size, npts)
+        pairs = [np.concatenate([k, 1.0 - k]).reshape(2, size, npts)
+                 for k in (pair_keep(windows[a], x[a], l) for a in range(n))]
         nxt = np.empty((size,) * n + (npts,))
         if state is not None:
             state.weights[l] = np.empty((size,) * n + (2,) * n)
         for j in product(range(size), repeat=n):
-            C = _outer([np.stack([k[ja], 1.0 - k[ja]]) for k, ja in zip(keep, j)])
+            C = _outer([p[:, ja] for p, ja in zip(pairs, j)])
             # child j+v reuses the level-r indicator I^r_{j + shift*v}
             Ij = ind[tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
             omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), Ij.reshape(2 ** n, npts),
@@ -294,6 +308,6 @@ def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
     tables = None if eps_t is None else indicator_tables(gf, cells, params.r)
     top, bad, base, ind, state = _chunk(gf, pts, cells, tables, params, eps_t, slice(0, 1),
                                         capture)
-    return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0])),
+    return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0].tolist())),
                         None if ind is None else ind[..., 0], base[..., 0],
                         linear_fallback=bool(bad[0]), neville=state)

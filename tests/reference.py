@@ -11,7 +11,8 @@ It shares none of the engine's gather, base values, pair weights, classical
 optimal weights, recursion or normalization: its optimal weights sum the
 pair-weight products over every root-to-leaf path of the triangle.
 
-Also here: Lagrange evaluation in exact rational arithmetic
+Also here: cell location one point at a time (locate_cells_loop), the
+oracle of pweno.grid.locate_cells; Lagrange evaluation in exact rational arithmetic
 (exact_lagrange_1d); the smoothness indicator by its definition, through
 numpy's polynomial routines and nothing of pweno.smoothness; the
 closed-form midpoint weights and the small helpers that only the tests use,
@@ -20,6 +21,7 @@ for the engine's.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -30,9 +32,43 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 import pweno.weno
-from pweno.grid import CellIndex, GridFunction, InsufficientStencilError, locate_cells
+from pweno.grid import (
+    CellIndex,
+    GridFunction,
+    InsufficientStencilError,
+    OutOfDomainError,
+    locate_cells,
+)
 from pweno.smoothness import indicator_tables
 from pweno.weno import WenoParams
+
+
+# --- cell location, one point at a time -----------------------------------
+
+def locate_cells_loop(grid, pts, r=None) -> np.ndarray:
+    """The central cell of each query, one axis and one point at a time.
+
+    On axis j, query x lies in cell i with x in (x_{i-1}, x_i], the first
+    node in cell 1. The axes are checked in order. On each, any query
+    outside the domain (NaN included) raises OutOfDomainError first; then,
+    with r given, the first query whose cell lacks r nodes on either side
+    raises InsufficientStencilError naming that cell.
+    """
+    cells = np.empty(np.shape(pts), dtype=np.intp)
+    for axis, ax in enumerate(grid.axes):
+        nodes = ax.nodes.tolist()
+        col = [float(x) for x in np.asarray(pts)[:, axis]]
+        if not all(nodes[0] <= x <= nodes[-1] for x in col):
+            raise OutOfDomainError("query outside grid domain (or not a number)")
+        col = [max(1, bisect_left(nodes, x)) for x in col]
+        if r is not None:
+            for i in col:
+                if i - r < 0 or i + r - 1 > ax.n_cells:
+                    raise InsufficientStencilError(
+                        f"cell {i} lacks a full {2 * r}-node window on axis {axis} "
+                        f"(axis has {ax.n_cells} cells)")
+        cells[:, axis] = col
+    return cells
 
 
 # --- Lagrange evaluation by Neville's recurrence ---------------------------

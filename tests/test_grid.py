@@ -19,6 +19,7 @@ from pweno.grid import (
     locate_cells_1d,
     refine_dyadic,
 )
+from reference import locate_cells_loop
 
 
 class TestGrid1D:
@@ -129,6 +130,33 @@ class TestBuildPerturbed:
             build_perturbed_grid(0, seed=0)
 
 
+@st.composite
+def locate_cases(draw):
+    """A 1-3-D random grid, r (None or 1..4) and 1..6 queries. Each query
+    coordinate is drawn per axis: most often inside a cell with a full
+    window, else inside any cell (short-window ones included), on the
+    first, last or an interior node, below or above the domain, or NaN. So calls mix points
+    that pass with points that fail, on any axis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 3))
+    r = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    lo = r or 1
+    axes = [Grid1D(np.cumsum(np.concatenate(([rng.uniform(-1, 1)], rng.uniform(0.1, 1, J)))))
+            for J in rng.integers(1, 12, n)]
+    kinds = ["full"] * 30 + ["any"] * 3 + ["first", "last", "node", "below", "above", "nan"]
+    pts = np.empty((draw(st.integers(1, 6)), n))
+    for p, a in np.ndindex(pts.shape):
+        nodes = axes[a].nodes
+        kind = kinds[draw(st.integers(0, len(kinds) - 1))]
+        cells = np.arange(1, nodes.size)
+        full = cells[(cells >= lo) & (cells <= nodes.size - lo)]
+        i = rng.choice(full if kind == "full" and full.size else cells)
+        pts[p, a] = {"first": nodes[0], "last": nodes[-1], "node": nodes[i], "nan": np.nan,
+                     "below": nodes[0] - rng.uniform(0, 1), "above": nodes[-1] + rng.uniform(0, 1),
+                     }.get(kind, nodes[i - 1] + rng.uniform(0, 1) * (nodes[i] - nodes[i - 1]))
+    return TensorGrid(tuple(axes)), pts, r
+
+
 class TestLocate:
     def test_half_open_convention(self):
         nodes = np.array([0.0, 1.0, 2.0, 3.0])
@@ -164,6 +192,21 @@ class TestLocate:
             locate_cells(grid, np.array([[0.05]]), r=3)
         with pytest.raises(InsufficientStencilError):
             locate_cells(grid, np.array([[0.95]]), r=3)
+
+    @given(locate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_point_loop(self, case):
+        # the same cells, or the same exception class and message, as one
+        # axis and one point at a time
+        grid, pts, r = case
+        try:
+            want = locate_cells_loop(grid, pts, r)
+        except GridError as err:
+            with pytest.raises(type(err)) as got:
+                locate_cells(grid, pts, r)
+            assert type(got.value) is type(err) and str(got.value) == str(err)
+        else:
+            np.testing.assert_array_equal(locate_cells(grid, pts, r), want)
 
     @given(seed=st.integers(0, 10_000), frac=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 import pweno
-from pweno import smoothness
+from pweno import smoothness, weno
 from pweno.grid import (
     Grid1D,
     GridFunction,
@@ -359,6 +359,81 @@ def counting(calls, name, fn):
         calls[name] += 1
         return fn(*args, **kwargs)
     return wrapper
+
+
+class TestMemoLookup:
+    """Cells that arrive sorted, as evaluate hands them over above one chunk
+    and as every one-point call has them, find their distinct cells by one
+    run-length pass; other calls by np.unique. Both give the same tables."""
+
+    def unique_calls(self, monkeypatch):
+        calls = {"unique": 0}
+        monkeypatch.setattr(np, "unique", counting(calls, "unique", np.unique))
+        return calls
+
+    def flat(self, gf, cells):
+        return np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
+
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 2), (3, 2)])
+    def test_sorted_multi_chunk_call(self, monkeypatch, n, r):
+        # evaluate in chunks of 4 points hands over sorted cells, repeats
+        # included; their tables are those of the same cells shuffled
+        rng = np.random.default_rng(20 + n)
+        J = 2 * r + 4
+        gf = random_gf(rng, n, J)
+        lo, hi = (np.array([ax.nodes[i] for ax in gf.grid.axes]) for i in (r - 1, J - r + 1))
+        pts = hi - (hi - lo) * rng.random((60, n))      # in (lo, hi]: full windows
+        seen = []
+
+        def spy(gf, cells, r):
+            seen.append((cells, indicator_tables(gf, cells, r)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(weno, "indicator_tables", spy)
+        monkeypatch.setattr(smoothness, "_CHUNK_BYTES", 4 * 8 * (2 * r) ** n)
+        monkeypatch.setattr(weno, "_MIN_CHUNK", 1)
+        pweno.interpolate_batch(gf, pts, pweno.WenoParams(r=r))
+        (cells, tables), = seen
+        flat = self.flat(gf, cells)
+        assert (np.diff(flat) >= 0).all() and np.unique(flat).size < flat.size
+        perm = rng.permutation(len(cells))
+        np.testing.assert_array_equal(indicator_tables(fresh(gf), cells[perm], r), tables[perm])
+        calls = self.unique_calls(monkeypatch)
+        np.testing.assert_array_equal(indicator_tables(gf, cells, r), tables)   # warm
+        assert calls["unique"] == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unsorted_one_chunk_call(self, monkeypatch, n):
+        r = 2
+        rng = np.random.default_rng(30 + n)
+        gf = random_gf(rng, n, 9)
+        cells = rng.integers(r, 9 - r + 2, size=(40, n))
+        order = np.argsort(self.flat(gf, cells), kind="stable")
+        assert (np.diff(order) < 0).any()
+        tables = indicator_tables(gf, cells, r)
+        np.testing.assert_array_equal(indicator_tables(fresh(gf), cells[order], r), tables[order])
+        calls = self.unique_calls(monkeypatch)
+        np.testing.assert_array_equal(indicator_tables(gf, cells, r), tables)   # warm
+        assert calls["unique"] == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_point_call_on_a_memo_of_three_runs(self, monkeypatch, n):
+        # runs of 40, 10 and 2 cells: a cell of each, and one not yet built
+        r, J = 2, {1: 60, 2: 12, 3: 8}[n]
+        rng = np.random.default_rng(40 + n)
+        gf = random_gf(rng, n, J)
+        cells = np.stack(np.unravel_index(rng.permutation((J - 2 * r + 2) ** n)[:53],
+                                          (J - 2 * r + 2,) * n), axis=1) + r
+        for lo, hi in ((0, 40), (40, 50), (50, 52)):
+            indicator_tables(gf, cells[lo:hi], r)
+        assert [known.size for known, _ in gf._indicator_memo[r]] == [40, 10, 2]
+        for at in (0, 39, 45, 51, 52):
+            calls = self.unique_calls(monkeypatch)
+            got = indicator_tables(gf, cells[at][None], r)
+            assert calls["unique"] == (n if at == 52 else 0)   # a build samples per axis
+            monkeypatch.undo()
+            np.testing.assert_array_equal(got, indicator_tables(fresh(gf), cells[at][None], r))
+        np.testing.assert_array_equal(memo_cells(gf, r), np.sort(self.flat(gf, cells)))
 
 
 class TestBatchedBuild:

@@ -108,6 +108,36 @@ class TestNonlinearPair:
             assert fb[col] == fb_col
 
 
+    def test_mixed_columns_match_the_plain_formula(self):
+        # columns: finite; zero sum; 0/0 and C/0 (eps^t underflows); an
+        # alpha that overflows; indicators whose power overflows; NaN. Alone,
+        # all together and all-finite, the weights and flags are the plain
+        # where-formula's bit for bit, and nothing warns
+        eps, t = 1e-200, 2.0
+        C = np.array([[0.25, 0.0, 0.0, 0.3, 0.25, 0.5, 0.125],
+                      [0.5, 0.0, 0.5, 0.7, 0.75, 0.5, 0.875],
+                      [0.25, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]])
+        I = np.array([[1.0, 2.0, 0.0, 0.0, 1e300, np.nan, 1e-3],
+                      [3.0, 1.0, 0.0, 1.0, 1e300, 1.0, 7.0],
+                      [0.5, 1.0, 1.0, 1.0, 1e300, 1.0, 0.25]])
+
+        def plain(C, I):
+            with np.errstate(all="ignore"):
+                alpha = C / (eps + I) ** t
+                s = alpha[0] + alpha[1] + alpha[2]
+                bad = ~np.isfinite(s) | (s <= 0.0)
+                return np.where(bad, C, alpha / np.where(bad, 1.0, s)), bad
+
+        for cols in ([0, 1, 2, 3, 4, 5, 6], [0, 6], [3, 0], *([c] for c in range(7))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = nonlinear_pair(C[:, cols], I[:, cols], eps, t)
+            want = plain(C[:, cols], I[:, cols])
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(plain(C, I)[1], [False, True, True, True, True, True, False])
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(WenoError):
