@@ -424,6 +424,8 @@ class TestMemoLookup:
         gf = random_gf(rng, n, J)
         cells = np.stack(np.unravel_index(rng.permutation((J - 2 * r + 2) ** n)[:53],
                                           (J - 2 * r + 2,) * n), axis=1) + r
+        assert (np.diff(self.flat(gf, cells)) < 0).any()
+        want = indicator_tables(fresh(gf), cells, r)     # unsorted: the np.unique path
         for lo, hi in ((0, 40), (40, 50), (50, 52)):
             indicator_tables(gf, cells[lo:hi], r)
         assert [known.size for known, _ in gf._indicator_memo[r]] == [40, 10, 2]
@@ -432,7 +434,7 @@ class TestMemoLookup:
             got = indicator_tables(gf, cells[at][None], r)
             assert calls["unique"] == (n if at == 52 else 0)   # a build samples per axis
             monkeypatch.undo()
-            np.testing.assert_array_equal(got, indicator_tables(fresh(gf), cells[at][None], r))
+            np.testing.assert_array_equal(got[0], want[at])
         np.testing.assert_array_equal(memo_cells(gf, r), np.sort(self.flat(gf, cells)))
 
 
