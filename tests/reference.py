@@ -12,12 +12,12 @@ optimal weights, recursion or normalization: its optimal weights sum the
 pair-weight products over every root-to-leaf path of the triangle.
 
 Also here: cell location one point at a time (locate_cells_loop), the
-oracle of pweno.grid.locate_cells; Lagrange evaluation in exact rational arithmetic
-(exact_lagrange_1d); the smoothness indicator by its definition, through
-numpy's polynomial routines and nothing of pweno.smoothness; the
-closed-form midpoint weights and the small helpers that only the tests use,
-among them override_indicators, which substitutes a fixed indicator table
-for the engine's.
+oracle of pweno.grid.locate_cells; Lagrange evaluation in exact rational
+arithmetic (exact_lagrange_1d); the smoothness indicator by its
+definition, through numpy's polynomial routines and nothing of
+pweno.smoothness; the closed-form midpoint weights and the small helpers
+that only the tests use, among them override_indicators, which substitutes
+a fixed indicator table for the engine's.
 """
 from __future__ import annotations
 

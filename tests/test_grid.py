@@ -135,8 +135,8 @@ def locate_cases(draw):
     """A 1-3-D random grid, r (None or 1..4) and 1..6 queries. Each query
     coordinate is drawn per axis: most often inside a cell with a full
     window, else inside any cell (short-window ones included), on the
-    first, last or an interior node, below or above the domain, or NaN. So calls mix points
-    that pass with points that fail, on any axis."""
+    first, last or an interior node, below or above the domain, or NaN. So
+    calls mix points that pass with points that fail, on any axis."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(1, 3))
     r = draw(st.sampled_from([None, 1, 2, 3, 4]))
