@@ -25,7 +25,7 @@ from .grid import (
     build_perturbed_grid,
     build_random_grid,
     build_uniform_grid,
-    locate_cells_1d,
+    locate_cells,
     refine_dyadic,
 )
 from .testfunctions import get_test_function
@@ -154,12 +154,12 @@ def _run(config: Bench1DConfig, ndim: int) -> RefinementReport:
         n_cells = [g.n_cells for g in axes]
 
         # the cells a..b of each axis that hold the points; cell i spans
-        # nodes i-1..i, as locate_cells_1d counts them
+        # nodes i-1..i, as locate_cells counts them
         if half is None:
             spans = [(r, m - r + 1) for m in n_cells]       # every full-stencil cell
         else:
             if ndim == 1:
-                centre = [int(locate_cells_1d(nodes[0], np.array([tf.jump_x]))[0])]
+                centre = [int(locate_cells(gf.grid, np.array([[tf.jump_x]]))[0, 0])]
                 if centre[0] - 5 < 0 or centre[0] + 4 > n_cells[0]:
                     raise BenchConfigError(f"evaluation window leaves the domain at level {level}")
             else:   # the cell right of the node nearest the origin

@@ -5,11 +5,11 @@ half-open intervals (x_{i-1}, x_i]; a query equal to the left domain endpoint
 belongs to cell 1. All grid objects are immutable after construction: each
 keeps a read-only copy of the arrays it was given.
 
-locate_cells, the engine's cell location, costs one searchsorted per axis
-and one validity test on the whole (npts, n) cell array, whatever the
-number of points: a point below or above the domain, NaN, the first node
-and a cell without a full window all fail that one test. Only a call that
-fails it checks the axes one by one, to raise the error of its first bad
+locate_cells, the one cell locator, costs one searchsorted per axis and
+one validity test on the whole (npts, n) cell array, whatever the number of
+points: a point below or above the domain, NaN, the first node and a cell
+without a full window all fail that one test. Only a call that fails it
+checks the same cells axis by axis, to raise the error of its first bad
 axis and point.
 """
 from __future__ import annotations
@@ -128,8 +128,9 @@ class GridFunction:
     grid function keeps its own read-only copy. It also remembers, per r,
     the indicator table of every cell it was queried at (see
     smoothness.indicator_tables), for as long as it lives: a later query in
-    the same cell reuses the table. That costs distinct cells queried x
-    r^n x 8 B per r. The linear method builds no tables.
+    the same cell finds the table by its own cell, with no sort. That costs
+    distinct cells queried x r^n x 8 B per r. The linear method builds no
+    tables.
     """
 
     grid: TensorGrid
@@ -269,46 +270,43 @@ def build_perturbed_grid(level: int, seed: int) -> Grid1D:
     raise GridError("perturbed grid construction failed: monotonicity after 100 attempts")
 
 
-def locate_cells_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized cell location along one axis (half-open convention).
-
-    Returns, per query, the unique i with x in (nodes[i-1], nodes[i]];
-    x equal to nodes[0] maps to cell 1. NaN lies in no cell.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all((x >= nodes[0]) & (x <= nodes[-1])):
-        raise OutOfDomainError("query outside grid domain (or not a number)")
-    i = np.searchsorted(nodes, x, side="left")
-    return np.where(i == 0, 1, i)
+def _check_window(grid: TensorGrid, axis: int, i: np.ndarray, r: int) -> None:
+    """InsufficientStencilError unless every cell i on the given axis has a
+    full 2r-node window, r <= i <= J - r + 1; it names the first short one."""
+    ax = grid.axes[axis]
+    short = (i < r) | (i > ax.n_cells + 1 - r)
+    if short.any():
+        raise InsufficientStencilError(
+            f"cell {i[short][0]} lacks a full {2 * r}-node window on axis {axis} "
+            f"(axis has {ax.n_cells} cells)"
+        )
 
 
 def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.ndarray:
     """Central cells of many queries: pts has shape (npts, n), result (npts, n).
 
-    With r given, raises InsufficientStencilError unless r <= i_j and
-    i_j + r - 1 <= J_j on every axis. One searchsorted per axis gives
-    i_j = 0 below the domain and on its first node, J_j + 1 above it and
-    for NaN, so one test of r <= i_j <= J_j - r + 1 (1 <= i_j <= J_j
-    without r) passes every valid query of a call. Only when it fails are
-    the axes located again in order by locate_cells_1d, and the first one
-    with a bad query raises: OutOfDomainError if a query lies outside the
-    domain, else InsufficientStencilError naming its first short cell. A
-    query on the first node is valid only without r or at r = 1, as cell 1.
+    Cell i of an axis holds the queries x in (x_{i-1}, x_i]; a query on the
+    first node belongs to cell 1. With r given, raises
+    InsufficientStencilError unless r <= i_j and i_j + r - 1 <= J_j on every
+    axis. One searchsorted per axis gives i_j = 0 below the domain and on
+    its first node, J_j + 1 above it and for NaN, so one test of
+    r <= i_j <= J_j - r + 1 (1 <= i_j <= J_j without r) passes every valid
+    query of a call. Only when it fails are the same cells checked axis by
+    axis, and the first axis with a bad query raises: OutOfDomainError if a
+    query lies outside the domain, else InsufficientStencilError naming its
+    first short cell. A query on the first node is valid only without r or
+    at r = 1.
     """
     lo = 1 if r is None else r
     cells = np.empty(pts.shape, dtype=np.intp)
     for axis, ax in enumerate(grid.axes):
         cells[:, axis] = ax.nodes.searchsorted(pts[:, axis])
-    hi = np.array(grid.shape) - lo
-    if ((cells >= lo) & (cells <= hi)).all():
+    if ((cells >= lo) & (cells <= np.array(grid.shape) - lo)).all():
         return cells
     for axis, ax in enumerate(grid.axes):
-        i = locate_cells_1d(ax.nodes, pts[:, axis])     # raises OutOfDomainError
-        short = (i < lo) | (i > hi[axis])
-        if short.any():
-            raise InsufficientStencilError(
-                f"cell {i[short][0]} lacks a full {2 * r}-node window on axis {axis} "
-                f"(axis has {ax.n_cells} cells)"
-            )
-        cells[:, axis] = i
+        i = cells[:, axis]
+        if ((i > ax.n_cells) | ((i == 0) & (pts[:, axis] != ax.nodes[0]))).any():
+            raise OutOfDomainError("query outside grid domain (or not a number)")
+        i[i == 0] = 1
+        _check_window(grid, axis, i, lo)
     return cells

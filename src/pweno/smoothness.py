@@ -32,8 +32,8 @@ samples of every sub-stencil on every axis come from one
 derivative_samples call at one cached Gauss rule. Indicators are computed
 once per distinct cell at level r; higher recursion levels reuse them by
 index shifts. Each grid function remembers the tables of the cells it was
-queried at, per r, so a later call builds only cells no earlier call on it
-built.
+queried at, per r, and a later call looks them up by each point's own cell,
+so it builds only cells no earlier call on it built.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction, blocks
+from .grid import GridFunction, _check_window, blocks
 
 
 # Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
@@ -206,10 +206,13 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
 def _cell_tables(gf: GridFunction, flat: np.ndarray, r: int) -> np.ndarray:
     """Indicator tables (len(flat), r**n) of the cells with flat indices flat
     (distinct, sorted): one _sub_stencil_samples and one _indicator_values
-    call."""
+    call. A cell without a full 2r window raises InsufficientStencilError
+    first, naming the first such cell of the first axis that has one."""
+    cells = np.stack(np.unravel_index(flat, gf.grid.shape), axis=1)
+    for axis in range(gf.grid.ndim):
+        _check_window(gf.grid, axis, cells[:, axis], r)
     pts, gw = gauss_rule(r + 1)
     wts = _square_weights(r + 1, tuple(gw), gf.grid.ndim)
-    cells = np.stack(np.unravel_index(flat, gf.grid.shape), axis=1)
     S, first, scale = _sub_stencil_samples(gf, cells, r, pts)
     return _indicator_values(gf, cells, r, S, first, wts) * scale[:, None]
 
@@ -232,9 +235,11 @@ def _add_run(runs: tuple, known: np.ndarray, tables: np.ndarray) -> tuple:
 def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     """Indicator tables for many cells, each built once per grid function.
 
-    cells has shape (npts, n) and must have full 2r windows; the result has
-    shape (npts,) + (r,)*n, entry k the indicator of base sub-stencil k
-    (nodes i_j - r + k_j .. i_j + k_j on axis j of cell i).
+    cells has shape (npts, n); the result has shape (npts,) + (r,)*n, entry
+    k the indicator of base sub-stencil k (nodes i_j - r + k_j .. i_j + k_j
+    on axis j of cell i). A cell to be built without a full 2r window raises
+    InsufficientStencilError, with locate_cells' message for the first such
+    cell by flat index, and leaves the memo as it was.
 
     gf remembers the table of every cell it was asked for at this r, for as
     long as it lives (distinct cells x r^n x 8 B), so a call builds only the
@@ -243,36 +248,28 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     asked before. The memo is a tuple of disjoint sorted runs of flat cell
     indices with their tables, replaced in one assignment, its arrays
     read-only: concurrent calls may build a cell twice, or drop one another's
-    new cells, but never read a half-built memo. Cells sorted by flat index,
-    as evaluate hands them over above one chunk and as a one-point call has
-    them, give their distinct cells by one run-length pass; others by
-    np.unique. The runs are searched oldest (longest) first, and no further
-    once every distinct cell is found.
+    new cells, but never read a half-built memo. The runs are searched with
+    the call's own flat cells, oldest (longest) run first, and no further
+    once every point is found; only the cells still missing go through
+    np.unique, to be built once each.
     """
     n = gf.grid.ndim
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
-    rise = flat[1:] - flat[:-1]
-    if (rise >= 0).all():   # sorted, as from evaluate: distinct cells by run length
-        first = np.ones(flat.size, dtype=bool)
-        np.greater(rise, 0, out=first[1:])
-        uniq, inverse = flat[first], first.cumsum() - 1
-    else:
-        uniq, inverse = np.unique(flat, return_inverse=True)
     runs = gf._indicator_memo.get(r, ())
-    hits, missing = [], np.ones(uniq.size, dtype=bool)
+    hits, missing = [], np.ones(flat.size, dtype=bool)
     for known, tables in runs:
-        if not missing.any():   # every cell found; the runs are disjoint
+        if not missing.any():   # every point found; the runs are disjoint
             break
-        at = known.searchsorted(uniq)
-        hit = known.take(at, mode="clip") == uniq
+        at = known.searchsorted(flat)
+        hit = known.take(at, mode="clip") == flat
         hits.append((hit, tables, at[hit]))
         missing &= ~hit
     if missing.any():
-        new = uniq[missing]
+        new, inverse = np.unique(flat[missing], return_inverse=True)
         built = _cell_tables(gf, new, r)
         gf._indicator_memo[r] = _add_run(runs, new, built)
-        hits.append((missing, built, slice(None)))
-    out = np.empty((uniq.size, r ** n))     # after the build, so the two peaks do not add
+        hits.append((missing, built, inverse))
+    out = np.empty((flat.size, r ** n))     # after the build, so the two peaks do not add
     for hit, tables, at in hits:
         out[hit] = tables[at]
-    return out[inverse.ravel()].reshape((-1,) + (r,) * n)
+    return out.reshape((-1,) + (r,) * n)

@@ -1,20 +1,22 @@
 """The WENO-2r interpolation engine: classical, progressive and linear.
 
 One engine serves every dimension n and every entry point. _chunk runs the
-method on a chunk of c points: it gathers each point's 2r-per-axis window
-(grid.blocks) into an array of shape (2r, ..., 2r, c) and collapses it one
-axis at a time. Every per-point array keeps the point axis last and
-contiguous, so each step below runs over rows of the chunk's points, not
-over one point's 2r entries. Neville's recurrence, whose steps are the
-affine pair weights, reduces each axis from 2r samples to the r base
-sub-stencil values. The linear method continues those steps to the full
-2r-point interpolant. The classical method forms one convex combination of
-the r^n base values, with the optimal weights as outer products of per-axis
-weights: steps r..2r-2 run on the identity (_optimal_weights). The
-progressive method runs the Aitken-Neville recursion from level r: each node
-combines its 2^n children with indicator-modulated tensor pair weights until
-one level-(2r-1) value remains. Indicators are computed once, at level r,
-and reused at every level by index shifts.
+method on a chunk of c points, given only that chunk's points, cells and
+tables, and resolves eps and t itself: it gathers each point's
+2r-per-axis window (grid.blocks) into an array of shape (2r, ..., 2r, c)
+and collapses it one axis at a time. Every per-point array keeps the point
+axis last and contiguous, so each step below runs over rows of the chunk's
+points, not over one point's 2r entries. Neville's recurrence, whose steps
+are the affine pair weights, reduces each axis from 2r samples to the r
+base sub-stencil values. The linear method continues those steps to the
+full 2r-point interpolant. The classical method forms one convex
+combination of the r^n base values, with the optimal weights as outer
+products of per-axis weights: steps r..2r-2 run on the identity
+(_optimal_weights). The progressive method runs the Aitken-Neville
+recursion from level r: each node combines its 2^n children with
+indicator-modulated tensor pair weights until one level-(2r-1) value
+remains. Indicators are computed once, at level r, and reused at every
+level by index shifts.
 
 evaluate, behind batch.interpolate_batch, sorts the points once (by x in
 1-D before locating them, as sorted queries locate faster; else by flat
@@ -28,11 +30,10 @@ triangle as arrays (NevilleState). Both read points through _as_points.
 
 The work around the arithmetic is a fixed, small number of array passes per
 call, which is most of a one-point call's cost: grid.locate_cells searches
-once per axis and tests validity once; indicator_tables finds the distinct
-cells of sorted cells (a one-point call, or a call above one chunk) by one
-run-length pass and stops searching its memo once every cell is found; and
-nonlinear_pair applies the linear-weight fallback only when some candidate
-sum is not finite and positive.
+once per axis and tests validity once; indicator_tables searches its memo
+with the points' own cells, stops once every point is found, and sorts only
+the cells it has yet to build; and nonlinear_pair applies the linear-weight
+fallback only when some candidate sum is not finite and positive.
 """
 from __future__ import annotations
 
@@ -200,39 +201,35 @@ def _outer(factors) -> np.ndarray:
 def _as_points(points, ndim: int) -> np.ndarray:
     """Query points as a float64 array (npts, ndim), or WenoError.
 
-    A 1-D array is read as npts points of a 1-D grid function.
+    A 1-D array is read as npts points of a 1-D grid function, and an empty
+    one as no points of any dimension.
     """
     try:
         pts = np.asarray(points, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise WenoError("points must be numbers in an array or nested lists") from None
-    if ndim == 1 and pts.ndim == 1:
-        pts = pts[:, None]
+    if pts.ndim == 1 and (ndim == 1 or pts.size == 0):
+        pts = pts.reshape(-1, ndim)
     if pts.ndim != 2 or pts.shape[1] != ndim:
         raise WenoError(f"points must have shape (npts, {ndim}), got {pts.shape}")
     return pts
 
 
-def _eps_t(gf: GridFunction, params: WenoParams):
-    """(eps, t) of the weighted methods, resolved once per call; None for linear."""
-    return None if params.method == "linear" else (params.resolve_eps(gf.grid), params.resolve_t())
-
-
-def _chunk(gf: GridFunction, pts: np.ndarray, cells: np.ndarray, tables, params: WenoParams,
-           eps_t, rows: slice, capture: bool = False):
-    """The method at the c points rows of pts (npts, n), cells and tables
-    ((npts,) + (r,)*n, None for the linear method), with eps_t from _eps_t.
-    Returns their c values (in some shape) and fallback flags, base values and
-    indicators (r,)*n + (c,), and with capture the first row's triangle."""
-    r, n, x, cells = params.r, gf.grid.ndim, pts[rows].T, cells[rows]
-    npts = x.shape[1]
+def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: WenoParams,
+           capture: bool = False):
+    """The method at c points x (n, c) in cells (c, n) with their tables
+    ((c,) + (r,)*n, None for the linear method). Returns their c values (in
+    some shape) and fallback flags, base values and indicators (r,)*n + (c,),
+    and with capture the first point's triangle."""
+    r, n, npts = params.r, gf.grid.ndim, x.shape[1]
     windows = [blocks(ax.nodes, cells[:, a, None] - r, 2 * r)
                for a, ax in enumerate(gf.grid.axes)]
     base = _neville(blocks(gf.values, cells - r, 2 * r), windows, x, range(r))
     fallback = np.zeros(npts, dtype=bool)
-    if eps_t is None:
+    if tables is None:
         return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, base, None, None
-    (eps, t), ind = eps_t, tables[rows].reshape(npts, -1).T.copy().reshape(base.shape)
+    eps, t = params.resolve_eps(gf.grid), params.resolve_t()
+    ind = tables.reshape(npts, -1).T.copy().reshape(base.shape)
     if params.method == "classical":
         C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)]).reshape(r ** n, npts)
         omega, fallback = nonlinear_pair(C, ind.reshape(r ** n, npts), eps, t)
@@ -271,7 +268,6 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     flags, in the caller's order, from sorted chunks (see the module docstring).
     """
     r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
-    eps_t = _eps_t(gf, params)
     chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), _MIN_CHUNK)
     order = np.argsort(pts[:, 0]) if n == 1 and npts > chunk else None
     spts = pts if order is None else pts[order]
@@ -283,12 +279,13 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     if n > 1 and npts > chunk:
         order = np.argsort(np.ravel_multi_index(tuple(cells.T), gf.grid.shape))
         spts, cells = pts[order], cells[order]
-    tables = None if eps_t is None else indicator_tables(gf, cells, r)
+    tables = None if params.method == "linear" else indicator_tables(gf, cells, r)
     values, base_min, base_max = np.empty(npts), np.empty(npts), np.empty(npts)
     fallback, located = np.empty(npts, dtype=bool), np.empty_like(cells)
     for lo in range(0, npts, chunk):
         rows = slice(lo, min(lo + chunk, npts))
-        top, bad, base, _, _ = _chunk(gf, spts, cells, tables, params, eps_t, rows)
+        top, bad, base, _, _ = _chunk(gf, spts[rows].T, cells[rows],
+                                      None if tables is None else tables[rows], params)
         dest = rows if order is None else order[rows]
         values[dest], fallback[dest], located[dest] = top.reshape(-1), bad, cells[rows]
         base = base.reshape(r ** n, -1)
@@ -303,11 +300,9 @@ def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
     progressive method in InterpResult.neville.
     """
     pts = _as_points([x_star], gf.grid.ndim)
-    eps_t = _eps_t(gf, params)
     cells = locate_cells(gf.grid, pts, params.r)
-    tables = None if eps_t is None else indicator_tables(gf, cells, params.r)
-    top, bad, base, ind, state = _chunk(gf, pts, cells, tables, params, eps_t, slice(0, 1),
-                                        capture)
+    tables = None if params.method == "linear" else indicator_tables(gf, cells, params.r)
+    top, bad, base, ind, state = _chunk(gf, pts.T, cells, tables, params, capture)
     return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0].tolist())),
                         None if ind is None else ind[..., 0], base[..., 0],
                         linear_fallback=bool(bad[0]), neville=state)

@@ -140,6 +140,16 @@ class TestInterp:
             assert entry["value"] == pytest.approx(2.0 * entry["point"][0] + 1.0,
                                                    abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_query_list(self, tmp_path, capsys, n):
+        nodes = np.linspace(0.0, 1.0, 9).tolist()
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"axes": [nodes] * n, "values": np.ones((9,) * n).tolist()}),
+                        encoding="utf-8")
+        query = write_query(tmp_path, [])
+        assert main(["interp", "--data", str(data), "--query", str(query)]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
     def test_strict_flags_fallback(self, tmp_path, capsys):
         data = write_spiky_data(tmp_path)
         query = write_query(tmp_path, [0.5])

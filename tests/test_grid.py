@@ -16,7 +16,6 @@ from pweno.grid import (
     build_random_grid,
     build_uniform_grid,
     locate_cells,
-    locate_cells_1d,
     refine_dyadic,
 )
 from reference import locate_cells_loop
@@ -157,24 +156,29 @@ def locate_cases(draw):
     return TensorGrid(tuple(axes)), pts, r
 
 
+def locate_1d(nodes, x):
+    """locate_cells on the one-axis grid of nodes, as one cell per query."""
+    return locate_cells(TensorGrid((Grid1D(nodes),)), np.asarray(x)[:, None])[:, 0]
+
+
 class TestLocate:
     def test_half_open_convention(self):
         nodes = np.array([0.0, 1.0, 2.0, 3.0])
         # node hits belong to the cell ending there; left endpoint to cell 1
         np.testing.assert_array_equal(
-            locate_cells_1d(nodes, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])),
+            locate_1d(nodes, np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])),
             [1, 1, 1, 2, 2, 3],
         )
 
     def test_out_of_domain(self):
         nodes = np.array([0.0, 1.0])
         with pytest.raises(OutOfDomainError):
-            locate_cells_1d(nodes, np.array([-0.1]))
+            locate_1d(nodes, np.array([-0.1]))
         with pytest.raises(OutOfDomainError):
-            locate_cells_1d(nodes, np.array([1.1]))
+            locate_1d(nodes, np.array([1.1]))
         # NaN fails every comparison, so it must be rejected explicitly
         with pytest.raises(OutOfDomainError):
-            locate_cells_1d(nodes, np.array([0.5, np.nan]))
+            locate_1d(nodes, np.array([0.5, np.nan]))
         with pytest.raises(OutOfDomainError):
             locate_cells(TensorGrid((build_uniform_grid(0.0, 1.0, 4),)), np.array([[np.nan]]))
 
@@ -213,7 +217,7 @@ class TestLocate:
     def test_locate_invariant(self, seed, frac):
         g = build_random_grid(0.0, 1.0, 12, seed=seed)
         x = frac  # in [0, 1] by construction
-        i = int(locate_cells_1d(g.nodes, np.array([x]))[0])
+        i = int(locate_1d(g.nodes, np.array([x]))[0])
         assert 1 <= i <= g.n_cells
         if x == 0.0:
             assert i == 1

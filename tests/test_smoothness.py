@@ -15,13 +15,14 @@ from pweno import smoothness, weno
 from pweno.grid import (
     Grid1D,
     GridFunction,
+    InsufficientStencilError,
     TensorGrid,
     build_random_grid,
     build_uniform_grid,
     locate_cells,
 )
 from pweno.smoothness import gauss_rule, indicator_tables
-from reference import indicator_definition, level_lookup
+from reference import indicator_definition, level_lookup, locate_cells_loop
 
 
 def indicator(gf, cell, r, k):
@@ -331,6 +332,33 @@ class TestIndicatorTables:
         for cell, table in zip(cells, tables):
             np.testing.assert_array_equal(indicator_tables(fresh(gf), cell[None], r)[0], table)
 
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(2, 4), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_cells_without_a_full_window(self, seed, n, r, warm):
+        # cells of every kind, short windows included, on a fresh or warm grid
+        # function: their tables, or locate_cells' error for points inside
+        # them taken in flat-index order, with the memo left as it was
+        rng = np.random.default_rng(seed)
+        J = 2 * r + int(rng.integers(-1, 4))
+        gf = random_gf(rng, n, J)
+        cells = rng.integers(1, J + 1, size=(int(rng.integers(1, 7)), n))
+        if warm:
+            indicator_tables(gf, rng.integers(r, J - r + 2, size=(5, n)), r)
+        before = gf._indicator_memo.get(r)
+        in_order = cells[np.argsort(np.ravel_multi_index(tuple(cells.T), gf.grid.shape))]
+        mids = np.stack([0.5 * (ax.nodes[i - 1] + ax.nodes[i])
+                         for ax, i in zip(gf.grid.axes, in_order.T)], axis=1)
+        try:
+            np.testing.assert_array_equal(locate_cells_loop(gf.grid, mids, r), in_order)
+        except InsufficientStencilError as err:
+            with pytest.raises(InsufficientStencilError) as got:
+                indicator_tables(gf, cells, r)
+            assert str(got.value) == str(err)
+            assert gf._indicator_memo.get(r) is before
+        else:
+            np.testing.assert_array_equal(indicator_tables(gf, cells, r),
+                                          indicator_tables(fresh(gf), cells, r))
+
     def test_peak_memory_is_a_few_chunks(self):
         # 3,600 cells at r = 3: the 32,400 sub-stencil blocks alone take 4.1 MB,
         # so gathering them all at once fails here, not only in peak RSS. A
@@ -362,9 +390,9 @@ def counting(calls, name, fn):
 
 
 class TestMemoLookup:
-    """Cells that arrive sorted, as evaluate hands them over above one chunk
-    and as every one-point call has them, find their distinct cells by one
-    run-length pass; other calls by np.unique. Both give the same tables."""
+    """The memo runs are searched with the call's own cells, sorted or not,
+    so a warm call sorts nothing; only the cells still to be built go
+    through np.unique. Any order of the same cells gives the same tables."""
 
     def unique_calls(self, monkeypatch):
         calls = {"unique": 0}
@@ -414,7 +442,7 @@ class TestMemoLookup:
         np.testing.assert_array_equal(indicator_tables(fresh(gf), cells[order], r), tables[order])
         calls = self.unique_calls(monkeypatch)
         np.testing.assert_array_equal(indicator_tables(gf, cells, r), tables)   # warm
-        assert calls["unique"] == 1
+        assert calls["unique"] == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_point_call_on_a_memo_of_three_runs(self, monkeypatch, n):
@@ -425,16 +453,35 @@ class TestMemoLookup:
         cells = np.stack(np.unravel_index(rng.permutation((J - 2 * r + 2) ** n)[:53],
                                           (J - 2 * r + 2,) * n), axis=1) + r
         assert (np.diff(self.flat(gf, cells)) < 0).any()
-        want = indicator_tables(fresh(gf), cells, r)     # unsorted: the np.unique path
+        want = indicator_tables(fresh(gf), cells, r)
         for lo, hi in ((0, 40), (40, 50), (50, 52)):
             indicator_tables(gf, cells[lo:hi], r)
         assert [known.size for known, _ in gf._indicator_memo[r]] == [40, 10, 2]
         for at in (0, 39, 45, 51, 52):
             calls = self.unique_calls(monkeypatch)
             got = indicator_tables(gf, cells[at][None], r)
-            assert calls["unique"] == (n if at == 52 else 0)   # a build samples per axis
+            # a build finds its new cells once and samples once per axis
+            assert calls["unique"] == (n + 1 if at == 52 else 0)
             monkeypatch.undo()
             np.testing.assert_array_equal(got[0], want[at])
+        np.testing.assert_array_equal(memo_cells(gf, r), np.sort(self.flat(gf, cells)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_call_across_three_runs_new_cells_and_repeats(self, n):
+        # one call mixes cells of runs of 40, 10 and 2 cells with 6 new
+        # cells, each asked twice, in shuffled order
+        r, J = 2, {1: 80, 2: 12, 3: 8}[n]
+        rng = np.random.default_rng(50 + n)
+        gf = random_gf(rng, n, J)
+        cells = np.stack(np.unravel_index(rng.permutation((J - 2 * r + 2) ** n)[:58],
+                                          (J - 2 * r + 2,) * n), axis=1) + r
+        for lo, hi in ((0, 40), (40, 50), (50, 52)):
+            indicator_tables(gf, cells[lo:hi], r)
+        assert [known.size for known, _ in gf._indicator_memo[r]] == [40, 10, 2]
+        ask = np.concatenate([cells[[3, 17, 44, 48, 50, 51]], cells[52:]])
+        ask = np.concatenate([ask, ask])[rng.permutation(2 * len(ask))]
+        np.testing.assert_array_equal(indicator_tables(gf, ask, r),
+                                      indicator_tables(fresh(gf), ask, r))
         np.testing.assert_array_equal(memo_cells(gf, r), np.sort(self.flat(gf, cells)))
 
 

@@ -582,6 +582,16 @@ class TestBatchEngine:
         with pytest.raises(OutOfDomainError):
             interpolate_nd(gf, [np.nan], WenoParams(r=3))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_point_list(self, n):
+        # an empty list is no points in any dimension; one point still needs
+        # its n coordinates
+        gf = random_gf(n, 8, seed=n)
+        out = interpolate_batch(gf, [], WenoParams(r=2))
+        assert out.values.shape == out.fallback.shape == (0,) and out.cells.shape == (0, n)
+        with pytest.raises(WenoError, match=rf"\(npts, {n}\), got \(1, 0\)"):
+            interpolate_nd(gf, [], WenoParams(r=2))
+
 
 def tiny_chunks(mp, n, r, points):
     """Within mp, the engine runs chunks of the given number of points."""
