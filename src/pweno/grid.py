@@ -1,16 +1,20 @@
 """Grid construction, dyadic refinement, cell location, and the window gather.
 
-Nodes along each axis are strictly increasing float64 arrays. Cells are the
+Nodes along each axis are finite, strictly increasing float64 arrays whose
+gaps do not overflow; complex input is refused, not cast. Cells are the
 half-open intervals (x_{i-1}, x_i]; a query equal to the left domain endpoint
 belongs to cell 1. All grid objects are immutable after construction: each
 keeps a read-only copy of the arrays it was given.
 
-locate_cells, the one cell locator, costs one searchsorted per axis and
-one validity test on the whole (npts, n) cell array, whatever the number of
+locate_cells, the one cell locator, costs one search per axis and one
+validity test on the whole (npts, n) cell array, whatever the number of
 points: a point below or above the domain, NaN, the first node and a cell
-without a full window all fail that one test. Only a call that fails it
-checks the same cells axis by axis, to raise the error of its first bad
-axis and point.
+without a full window all fail that one test. An axis whose queries are
+sorted, as a large 1-D call sorts them, is located by one merge of the
+nodes they span into the queries, when those nodes are fewer than the
+queries; else each query is searched among the nodes. Only a call that
+fails the test checks the same cells axis by axis, to raise the error of
+its first bad axis and point.
 """
 from __future__ import annotations
 
@@ -37,12 +41,16 @@ def _float_array(data, name: str) -> np.ndarray:
     """A grid field as a new float64 array, or GridError naming the field.
 
     A copy, so the caller's array stays as it was and later writes to it
-    cannot reach the grid object.
+    cannot reach the grid object. Complex numbers are refused, not cast: a
+    cast would drop their imaginary parts.
     """
     try:
-        return np.array(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype.kind != "c":
+            return np.array(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise GridError(f"grid field {name!r} must hold numbers in nested lists") from None
+    raise GridError(f"grid field {name!r} must hold real numbers, not complex ones")
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,8 @@ class Grid1D:
     Parameters
     ----------
     nodes : array_like
-        Node coordinates, strictly increasing, at least 2 entries.
+        Node coordinates, finite and strictly increasing, at least 2 entries,
+        with every gap finite.
 
     Attributes
     ----------
@@ -69,12 +78,19 @@ class Grid1D:
             raise GridError(f"nodes must be a 1-D array, got shape {nodes.shape}")
         if nodes.size < 2:
             raise GridError("grid needs at least 2 nodes on one axis")
-        gaps = np.diff(nodes)
+        if not np.all(np.isfinite(nodes)):
+            raise GridError("nodes must all be finite")
+        with np.errstate(over="ignore"):    # an overflowing gap is refused below
+            gaps = np.diff(nodes)
         if not np.all(gaps > 0.0):
             raise GridError("nodes must be strictly increasing")
+        h_max = float(gaps.max())
+        if not np.isfinite(h_max):
+            k = int(gaps.argmax())
+            raise GridError(f"the gap between nodes {nodes[k]:g} and {nodes[k + 1]:g} overflows")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "h_max", float(gaps.max()))
+        object.__setattr__(self, "h_max", h_max)
 
     @property
     def n_cells(self) -> int:
@@ -282,14 +298,31 @@ def _check_window(grid: TensorGrid, axis: int, i: np.ndarray, r: int) -> None:
         )
 
 
+def _axis_cells(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """nodes.searchsorted(x), by one merge where x is sorted.
+
+    Only the m nodes between x's first and last entry can split x; when x is
+    sorted and m < len(x), searching those m nodes into x (about
+    m log(len(x)/m) comparisons) and expanding the counts costs less than
+    one search per query. NaN fails the sortedness test, so it is searched.
+    """
+    if x.size > 1 and (x[1:] >= x[:-1]).all():
+        lo, hi = nodes.searchsorted(x[[0, -1]])
+        if hi - lo < x.size:
+            ends = x.searchsorted(nodes[lo:hi], side="right")
+            return np.repeat(np.arange(lo, hi + 1), np.diff(ends, prepend=0, append=x.size))
+    return nodes.searchsorted(x)
+
+
 def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.ndarray:
     """Central cells of many queries: pts has shape (npts, n), result (npts, n).
 
     Cell i of an axis holds the queries x in (x_{i-1}, x_i]; a query on the
     first node belongs to cell 1. With r given, raises
     InsufficientStencilError unless r <= i_j and i_j + r - 1 <= J_j on every
-    axis. One searchsorted per axis gives i_j = 0 below the domain and on
-    its first node, J_j + 1 above it and for NaN, so one test of
+    axis. One search per axis (_axis_cells: a merge where the axis' queries
+    are sorted) gives i_j = 0 below the domain and on its first node,
+    J_j + 1 above it and for NaN, so one test of
     r <= i_j <= J_j - r + 1 (1 <= i_j <= J_j without r) passes every valid
     query of a call. Only when it fails are the same cells checked axis by
     axis, and the first axis with a bad query raises: OutOfDomainError if a
@@ -298,9 +331,12 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
     at r = 1.
     """
     lo = 1 if r is None else r
-    cells = np.empty(pts.shape, dtype=np.intp)
-    for axis, ax in enumerate(grid.axes):
-        cells[:, axis] = ax.nodes.searchsorted(pts[:, axis])
+    if grid.ndim == 1:  # the column as it is: copying it costs more than a merge
+        cells = _axis_cells(grid.axes[0].nodes, pts[:, 0])[:, None]
+    else:
+        cells = np.empty(pts.shape, dtype=np.intp)
+        for axis, ax in enumerate(grid.axes):
+            cells[:, axis] = _axis_cells(ax.nodes, pts[:, axis])
     if ((cells >= lo) & (cells <= np.array(grid.shape) - lo)).all():
         return cells
     for axis, ax in enumerate(grid.axes):

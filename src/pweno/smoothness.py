@@ -33,7 +33,8 @@ derivative_samples call at one cached Gauss rule. Indicators are computed
 once per distinct cell at level r; higher recursion levels reuse them by
 index shifts. Each grid function remembers the tables of the cells it was
 queried at, per r, and a later call looks them up by each point's own cell,
-so it builds only cells no earlier call on it built.
+so it builds only cells no earlier call on it built; it gathers its rows
+with one take from the source that serves most of its points.
 """
 from __future__ import annotations
 
@@ -251,25 +252,39 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     new cells, but never read a half-built memo. The runs are searched with
     the call's own flat cells, oldest (longest) run first, and no further
     once every point is found; only the cells still missing go through
-    np.unique, to be built once each.
+    np.unique, to be built once each. The result is one take of rows from
+    the source that serves most points (the oldest run of a warm call, the
+    build of a fresh one); only the other sources' points are filled by mask.
     """
     n = gf.grid.ndim
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
     runs = gf._indicator_memo.get(r, ())
-    hits, missing = [], np.ones(flat.size, dtype=bool)
+    # per source: the points it serves, their mask, its tables, and each
+    # point's row in them (valid where the mask is set)
+    sources, missing = [], np.ones(flat.size, dtype=bool)
     for known, tables in runs:
         if not missing.any():   # every point found; the runs are disjoint
             break
         at = known.searchsorted(flat)
         hit = known.take(at, mode="clip") == flat
-        hits.append((hit, tables, at[hit]))
+        sources.append((np.count_nonzero(hit), hit, tables, at))
         missing &= ~hit
     if missing.any():
         new, inverse = np.unique(flat[missing], return_inverse=True)
         built = _cell_tables(gf, new, r)
         gf._indicator_memo[r] = _add_run(runs, new, built)
-        hits.append((missing, built, inverse))
-    out = np.empty((flat.size, r ** n))     # after the build, so the two peaks do not add
-    for hit, tables, at in hits:
-        out[hit] = tables[at]
+        at = inverse
+        if inverse.size < flat.size:
+            at = np.zeros(flat.size, dtype=np.intp)
+            at[missing] = inverse
+        sources.append((inverse.size, missing, built, at))
+    if not sources:     # no points
+        return np.empty((0,) + (r,) * n)
+    # one take from the source that serves most points, after the build, so
+    # the two peaks do not add; only the other sources' points go by mask
+    _, main, tables, at = max(sources, key=lambda source: source[0])
+    out = tables.take(at, axis=0, mode="clip")
+    for count, hit, tables, at in sources:
+        if count and hit is not main:
+            out[hit] = tables[at[hit]]
     return out.reshape((-1,) + (r,) * n)

@@ -15,11 +15,12 @@ products of per-axis weights: steps r..2r-2 run on the identity
 (_optimal_weights). The progressive method runs the Aitken-Neville
 recursion from level r: each node combines its 2^n children with
 indicator-modulated tensor pair weights until one level-(2r-1) value
-remains. Indicators are computed once, at level r, and reused at every
-level by index shifts.
+remains. Indicators are computed once per cell, at level r, and _chunk
+raises each point's denominators (eps + I)^t once; every level reads them
+by index shifts.
 
 evaluate, behind batch.interpolate_batch, sorts the points once (by x in
-1-D before locating them, as sorted queries locate faster; else by flat
+1-D before locating them, as sorted queries locate by a merge; else by flat
 cell), builds all their cells' indicator tables in one indicator_tables
 call, and runs the sorted points in contiguous chunks of at most
 smoothness._CHUNK_BYTES of value windows (at least _MIN_CHUNK points), so
@@ -30,10 +31,13 @@ triangle as arrays (NevilleState). Both read points through _as_points.
 
 The work around the arithmetic is a fixed, small number of array passes per
 call, which is most of a one-point call's cost: grid.locate_cells searches
-once per axis and tests validity once; indicator_tables searches its memo
-with the points' own cells, stops once every point is found, and sorts only
-the cells it has yet to build; and nonlinear_pair applies the linear-weight
-fallback only when some candidate sum is not finite and positive.
+once per axis, by one merge where the axis' points are sorted, and tests
+validity once; indicator_tables searches its memo with the points' own
+cells, stops once every point is found, sorts only the cells it has yet to
+build, and gathers the points' rows with one take from the source that
+serves most of them; and nonlinear_pair, the one normalization, applies the
+linear-weight fallback only when some candidate sum is not finite and
+positive.
 """
 from __future__ import annotations
 
@@ -133,23 +137,23 @@ class InterpResult:
     neville: NevilleState | None = None
 
 
-def nonlinear_pair(linear_weights, indicators, eps: float, t: float):
+def nonlinear_pair(linear_weights, denominators):
     """Indicator-modulated normalization of sets of linear weights.
 
     The candidates run along the first axis; trailing axes are independent
-    sets. alpha_v = C_v / (eps + I_v)^t, omega_v = alpha_v / sum(alpha).
-    Where the sum underflows to zero or is not finite, the linear weights
-    are returned instead and the second return value is true; the fallback
-    costs its two passes only in calls where some sum needs it. Sums over
-    candidates, here and in evaluate, add rows left to right (reduce): the
-    order of numpy's own sum depends on the trailing shape, so a point's bits
-    would depend on the size of its batch.
+    sets. denominators holds each candidate's (eps + I_v)^t, raised once per
+    point by _chunk: alpha_v = C_v / (eps + I_v)^t, omega_v = alpha_v /
+    sum(alpha). Where the sum underflows to zero or is not finite, the
+    linear weights are returned instead and the second return value is
+    true; the fallback costs its two passes only in calls where some sum
+    needs it. Sums over candidates, here and in evaluate, add rows left to
+    right (reduce): the order of numpy's own sum depends on the trailing
+    shape, so a point's bits would depend on the size of its batch.
     """
     C = np.asarray(linear_weights, dtype=np.float64)
-    I = np.asarray(indicators, dtype=np.float64)
     # inf, NaN (0/0) or 0 sums trigger the fallback
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        alpha = C / (eps + I) ** t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = C / np.asarray(denominators, dtype=np.float64)
     s = reduce(np.add, alpha)
     bad = ~np.isfinite(s) | (s <= 0.0)
     if bad.any():
@@ -202,12 +206,17 @@ def _as_points(points, ndim: int) -> np.ndarray:
     """Query points as a float64 array (npts, ndim), or WenoError.
 
     A 1-D array is read as npts points of a 1-D grid function, and an empty
-    one as no points of any dimension.
+    one as no points of any dimension. Complex numbers are refused, not
+    cast: a cast would drop their imaginary parts.
     """
     try:
-        pts = np.asarray(points, dtype=np.float64)
+        pts = np.asarray(points)
+        if pts.dtype.kind != "c":
+            pts = pts.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise WenoError("points must be numbers in an array or nested lists") from None
+    if pts.dtype.kind == "c":
+        raise WenoError("points must be real numbers, not complex ones")
     if pts.ndim == 1 and (ndim == 1 or pts.size == 0):
         pts = pts.reshape(-1, ndim)
     if pts.ndim != 2 or pts.shape[1] != ndim:
@@ -219,21 +228,25 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
            capture: bool = False):
     """The method at c points x (n, c) in cells (c, n) with their tables
     ((c,) + (r,)*n, None for the linear method). Returns their c values (in
-    some shape) and fallback flags, base values and indicators (r,)*n + (c,),
-    and with capture the first point's triangle."""
+    some shape) and fallback flags, base values (r,)*n + (c,), and with
+    capture the first point's triangle."""
     r, n, npts = params.r, gf.grid.ndim, x.shape[1]
     windows = [blocks(ax.nodes, cells[:, a, None] - r, 2 * r)
                for a, ax in enumerate(gf.grid.axes)]
     base = _neville(blocks(gf.values, cells - r, 2 * r), windows, x, range(r))
     fallback = np.zeros(npts, dtype=bool)
     if tables is None:
-        return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, base, None, None
+        return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, base, None
     eps, t = params.resolve_eps(gf.grid), params.resolve_t()
-    ind = tables.reshape(npts, -1).T.copy().reshape(base.shape)
+    # (eps + I)^t once per point, points last; every node below reads it by
+    # index shifts
+    den = np.add(eps, tables.reshape(npts, -1).T, order="C").reshape(base.shape)
+    with np.errstate(over="ignore"):    # inf denominators trigger the fallback
+        den **= t
     if params.method == "classical":
         C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)]).reshape(r ** n, npts)
-        omega, fallback = nonlinear_pair(C, ind.reshape(r ** n, npts), eps, t)
-        return reduce(np.add, omega * base.reshape(r ** n, npts)), fallback, base, ind, None
+        omega, fallback = nonlinear_pair(C, den.reshape(r ** n, npts))
+        return reduce(np.add, omega * base.reshape(r ** n, npts)), fallback, base, None
     state = NevilleState(r=r, ndim=n, values={r: base[..., 0]}) if capture else None
     top = base
     for l in range(r, 2 * r - 1):
@@ -247,10 +260,9 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
             state.weights[l] = np.empty((size,) * n + (2,) * n)
         for j in product(range(size), repeat=n):
             C = _outer([p[:, ja] for p, ja in zip(pairs, j)])
-            # child j+v reuses the level-r indicator I^r_{j + shift*v}
-            Ij = ind[tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
-            omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), Ij.reshape(2 ** n, npts),
-                                        eps, t)
+            # child j+v reuses the level-r denominator (eps + I^r_{j + shift*v})^t
+            Dj = den[tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
+            omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), Dj.reshape(2 ** n, npts))
             fallback |= bad
             kids = top[tuple(slice(ja, ja + 2) for ja in j)]
             nxt[j] = reduce(np.add, omega * kids.reshape(2 ** n, npts))
@@ -259,7 +271,7 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
         top = nxt
         if state is not None:
             state.values[l + 1] = top[..., 0]
-    return top, fallback, base, ind, state
+    return top, fallback, base, state
 
 
 def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
@@ -284,7 +296,7 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     fallback, located = np.empty(npts, dtype=bool), np.empty_like(cells)
     for lo in range(0, npts, chunk):
         rows = slice(lo, min(lo + chunk, npts))
-        top, bad, base, _, _ = _chunk(gf, spts[rows].T, cells[rows],
+        top, bad, base, _ = _chunk(gf, spts[rows].T, cells[rows],
                                       None if tables is None else tables[rows], params)
         dest = rows if order is None else order[rows]
         values[dest], fallback[dest], located[dest] = top.reshape(-1), bad, cells[rows]
@@ -302,7 +314,7 @@ def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
     pts = _as_points([x_star], gf.grid.ndim)
     cells = locate_cells(gf.grid, pts, params.r)
     tables = None if params.method == "linear" else indicator_tables(gf, cells, params.r)
-    top, bad, base, ind, state = _chunk(gf, pts.T, cells, tables, params, capture)
+    top, bad, base, state = _chunk(gf, pts.T, cells, tables, params, capture)
     return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0].tolist())),
-                        None if ind is None else ind[..., 0], base[..., 0],
+                        None if tables is None else tables[0], base[..., 0],
                         linear_fallback=bool(bad[0]), neville=state)

@@ -206,6 +206,17 @@ class TestInterp:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("axis", [[0, 0.25, 0.5, 0.75, 1, 2, 3, "Infinity"],
+                                      ["-Infinity", 0.25, 0.5, 0.75, 1, 2, 3, 4]])
+    def test_infinite_node_exits_2(self, tmp_path, capsys, axis):
+        # JSON's Infinity reads as a float; the grid refuses it by name
+        data = tmp_path / "data.json"
+        data.write_text('{"axes": [[%s]], "values": [0, 1, 2, 3, 4, 5, 6, 7]}'
+                        % ", ".join(map(str, axis)), encoding="utf-8")
+        query = write_query(tmp_path, [0.6])
+        assert main(["interp", "--data", str(data), "--query", str(query)]) == 2
+        assert capsys.readouterr().err == "error: nodes must all be finite\n"
+
     def test_2d_node_array_is_named(self, tmp_path, capsys):
         data = tmp_path / "bad.json"
         data.write_text(json.dumps({"axes": [[[0, 1]]], "values": [1.0, 2.0]}),

@@ -48,6 +48,26 @@ class TestGrid1D:
         assert g.h_max == 2.0
         assert g.n_cells == 3
 
+    @pytest.mark.parametrize("nodes", [[0, 0.25, 0.5, 0.75, 1, 2, 3, np.inf], [-np.inf, 0.0, 1.0],
+                                       [0.0, np.nan, 1.0], [np.nan, np.nan]])
+    def test_rejects_non_finite_nodes(self, nodes):
+        # an infinite last node used to pass as h_max = inf
+        with pytest.raises(GridError, match="nodes must all be finite"):
+            Grid1D(nodes)
+
+    def test_rejects_an_overflowing_gap(self):
+        # finite nodes whose gap overflows; np.diff's warning does not leak
+        with pytest.raises(GridError, match="gap between nodes -1e[+]308 and 1e[+]308 overflows"):
+            Grid1D([-1e308, 1e308])
+        with pytest.raises(GridError, match="nodes -1e[+]308 and 1.5e[+]308 overflows"):
+            Grid1D([-1.5e308, -1e308, 1.5e308, 1.6e308])
+
+    @pytest.mark.parametrize("nodes", [[0.0, 0.5 + 1j, 1.0], np.linspace(0.0, 1.0, 5) + 0j])
+    def test_rejects_complex_nodes(self, nodes):
+        # a cast would drop the imaginary parts
+        with pytest.raises(GridError, match="grid field 'nodes' must hold real numbers"):
+            Grid1D(nodes)
+
 
 class TestBuildUniform:
     def test_nodes(self):
@@ -156,6 +176,48 @@ def locate_cases(draw):
     return TensorGrid(tuple(axes)), pts, r
 
 
+@st.composite
+def merge_cases(draw):
+    """A 1-3-D random grid, r (None or 2..4) and queries for the merge and the
+    per-point search alike: few queries on up to 400 cells or up to 300 on
+    up to 12, each axis sorted or not. A coordinate is most often inside a
+    cell with a full window, else in any cell, on a node (the first and last
+    included), below or above the domain, NaN or +-inf; drawn shares of the
+    coordinates move to the node that ends their cell or repeat others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 3))
+    r = draw(st.sampled_from([None, 2, 3, 4]))
+    lo = r or 1
+    many = draw(st.booleans())      # many points on few nodes, or few on many
+    npts = draw(st.integers(20, 300) if many else st.integers(1, 8))
+    axes = []
+    for _ in range(n):
+        J = draw(st.integers(1, 12) if many else st.integers(1, 400))
+        axes.append(Grid1D(np.cumsum(np.concatenate(([rng.uniform(-1, 1)],
+                                                     rng.uniform(0.1, 1, J))))))
+    rare = ["any", "node", "first", "last", "below", "above", "nan", "inf", "-inf"]
+    p_rare = draw(st.sampled_from([0.0, 0.002, 0.05]))
+    pts = np.empty((npts, n))
+    for a, ax in enumerate(axes):
+        nodes = ax.nodes
+        cells = np.arange(1, nodes.size)
+        full = cells[(cells >= lo) & (cells <= nodes.size - lo)]
+        i = rng.choice(full if full.size else cells, npts)
+        col = nodes[i - 1] + rng.uniform(0, 1, npts) * (nodes[i] - nodes[i - 1])
+        snap = rng.random(npts) < draw(st.sampled_from([0.0, 0.3]))
+        col[snap] = nodes[i[snap]]      # the node that ends the cell
+        for p in np.flatnonzero(rng.random(npts) < p_rare):
+            kind, j = rare[rng.integers(len(rare))], rng.integers(1, nodes.size)
+            col[p] = {"node": nodes[j], "first": nodes[0], "last": nodes[-1],
+                      "below": nodes[0] - rng.uniform(0, 1), "above": nodes[-1] + rng.uniform(0, 1),
+                      "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                      }.get(kind, nodes[j - 1] + rng.uniform(0, 1) * (nodes[j] - nodes[j - 1]))
+        repeats = rng.random(npts) < draw(st.sampled_from([0.0, 0.3]))
+        col[repeats] = col[rng.integers(0, npts, repeats.sum())]
+        pts[:, a] = np.sort(col) if draw(st.booleans()) else col
+    return TensorGrid(tuple(axes)), pts, r
+
+
 def locate_1d(nodes, x):
     """locate_cells on the one-axis grid of nodes, as one cell per query."""
     return locate_cells(TensorGrid((Grid1D(nodes),)), np.asarray(x)[:, None])[:, 0]
@@ -212,6 +274,50 @@ class TestLocate:
         else:
             np.testing.assert_array_equal(locate_cells(grid, pts, r), want)
 
+    @given(merge_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_matches_the_point_loop(self, case):
+        # a sorted axis is located by a merge when the nodes its queries
+        # span are fewer than they are, else by a search per query: either
+        # way the cells, or the exception class and message, of one axis
+        # and one point at a time
+        grid, pts, r = case
+        try:
+            want = locate_cells_loop(grid, pts, r)
+        except GridError as err:
+            with pytest.raises(type(err)) as got:
+                locate_cells(grid, pts, r)
+            assert type(got.value) is type(err) and str(got.value) == str(err)
+        else:
+            got = locate_cells(grid, pts, r)
+            assert got.dtype == np.intp and got.shape == pts.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("J, npts, merged", [(8, 50, True), (400, 50, False), (8, 1, False)])
+    def test_only_a_sorted_axis_with_few_spanned_nodes_is_merged(self, monkeypatch, J, npts,
+                                                                 merged):
+        # not few points on a long axis, one point or an unsorted axis
+        calls = []
+        repeat = np.repeat
+        monkeypatch.setattr(np, "repeat", lambda *a, **k: calls.append(1) or repeat(*a, **k))
+        nodes = np.linspace(0.0, 1.0, J + 1)
+        x = np.sort(np.random.default_rng(J).uniform(0.0, 1.0, npts))
+        for pts, want in ((x, merged), (x[::-1], False)):
+            calls.clear()
+            got = locate_1d(nodes, pts)
+            assert len(calls) == want
+            np.testing.assert_array_equal(got, np.maximum(nodes.searchsorted(pts), 1))
+
+    def test_nan_among_sorted_queries(self):
+        # NaN fails the sortedness test wherever it is, so it is searched
+        # and rejected, not merged into a cell
+        x = np.linspace(0.1, 0.9, 50)
+        for at in (0, 25, 49):
+            y = x.copy()
+            y[at] = np.nan
+            with pytest.raises(OutOfDomainError):
+                locate_1d(np.linspace(0.0, 1.0, 9), y)
+
     @given(seed=st.integers(0, 10_000), frac=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_locate_invariant(self, seed, frac):
@@ -255,6 +361,16 @@ class TestTensorGridAndFunction:
         grid = TensorGrid((build_uniform_grid(0, 1, 2),))
         with pytest.raises(GridError):
             GridFunction(grid, np.array([0.0, np.nan, 1.0]))
+
+    def test_rejects_complex_values_and_axes(self):
+        # a cast would keep only the real parts
+        grid = TensorGrid((build_uniform_grid(0, 1, 2),))
+        with pytest.raises(GridError, match="grid field 'values' must hold real numbers"):
+            GridFunction(grid, np.array([0.0, 0.5, 1.0]) + 1j)
+        with pytest.raises(GridError, match="grid field 'values' must hold real numbers"):
+            GridFunction.from_dict({"axes": [[0.0, 0.5, 1.0]], "values": [0.0, 1j, 1.0]})
+        with pytest.raises(GridError, match="grid field 'axes' must hold real numbers"):
+            TensorGrid.from_dict({"axes": [[0.0, 0.5j, 1.0]]})
 
     def test_function_round_trip(self):
         grid = TensorGrid((build_uniform_grid(0, 1, 3),))

@@ -484,6 +484,27 @@ class TestMemoLookup:
                                       indicator_tables(fresh(gf), ask, r))
         np.testing.assert_array_equal(memo_cells(gf, r), np.sort(self.flat(gf, cells)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("new", [0, 2])
+    def test_a_newer_run_serves_most_points(self, n, new):
+        # the rows are taken from the run of 10 cells, asked five times
+        # each, and only the oldest run's, the newest run's and any new
+        # cells' points are filled by mask
+        r, J = 2, {1: 80, 2: 12, 3: 8}[n]
+        rng = np.random.default_rng(60 + n)
+        gf = random_gf(rng, n, J)
+        cells = np.stack(np.unravel_index(rng.permutation((J - 2 * r + 2) ** n)[:54],
+                                          (J - 2 * r + 2,) * n), axis=1) + r
+        for lo, hi in ((0, 40), (40, 50), (50, 52)):
+            indicator_tables(gf, cells[lo:hi], r)
+        ask = np.concatenate([np.repeat(cells[40:50], 5, axis=0), cells[[3, 17, 33, 51]],
+                              cells[52:52 + new]])
+        ask = ask[rng.permutation(len(ask))]
+        np.testing.assert_array_equal(indicator_tables(gf, ask, r),
+                                      indicator_tables(fresh(gf), ask, r))
+        np.testing.assert_array_equal(memo_cells(gf, r),
+                                      np.sort(self.flat(gf, cells[:52 + new])))
+
 
 class TestBatchedBuild:
     @pytest.mark.parametrize("n, J", [(1, 1006), (2, 38)])

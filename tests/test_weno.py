@@ -2,6 +2,7 @@ import re
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -59,21 +60,28 @@ def effective_masses(state):
     return mass
 
 
+def powered(I, eps, t):
+    """The denominators (eps + I)^t, raised as the engine raises them: an
+    overflow gives inf, which triggers the fallback, and does not warn."""
+    with np.errstate(over="ignore"):
+        return (eps + np.asarray(I, dtype=np.float64)) ** t
+
+
 class TestNonlinearPair:
     def test_equal_indicators_return_linear(self):
-        w, fb = nonlinear_pair([0.5, 0.5], [3.0, 3.0], eps=1e-4, t=2.0)
+        w, fb = nonlinear_pair([0.5, 0.5], powered([3.0, 3.0], 1e-4, 2.0))
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
         assert not fb
 
     def test_large_indicator_suppressed(self):
         eps, t, K = 1e-6, 2.0, 10.0
-        w, fb = nonlinear_pair([0.5, 0.5], [0.0, K], eps, t)
+        w, fb = nonlinear_pair([0.5, 0.5], powered([0.0, K], eps, t))
         assert w[0] > 1 - 1e-10
         assert w[1] <= 2 * (eps / K) ** t
         assert not fb
 
     def test_zero_linear_weight_stays_zero(self):
-        w, _ = nonlinear_pair([0.0, 1.0], [5.0, 1.0], eps=1e-4, t=2.0)
+        w, _ = nonlinear_pair([0.0, 1.0], powered([5.0, 1.0], 1e-4, 2.0))
         assert w[0] == 0.0
 
     def test_sums_to_one(self):
@@ -81,18 +89,18 @@ class TestNonlinearPair:
         for _ in range(50):
             C = rng.dirichlet(np.ones(4))
             I = rng.uniform(0, 10, 4)
-            w, fb = nonlinear_pair(C, I, eps=1e-6, t=1.5)
+            w, fb = nonlinear_pair(C, powered(I, 1e-6, 1.5))
             assert not fb
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             assert (w >= 0).all()
 
     def test_fallback_on_overflowed_indicators(self):
-        w, fb = nonlinear_pair([0.5, 0.5], [np.inf, np.inf], eps=1e-6, t=2.0)
+        w, fb = nonlinear_pair([0.5, 0.5], powered([np.inf, np.inf], 1e-6, 2.0))
         assert fb
         np.testing.assert_array_equal(w, [0.5, 0.5])
 
     def test_fallback_on_nan(self):
-        w, fb = nonlinear_pair([0.3, 0.7], [np.nan, 1.0], eps=1e-6, t=2.0)
+        w, fb = nonlinear_pair([0.3, 0.7], powered([np.nan, 1.0], 1e-6, 2.0))
         assert fb
         np.testing.assert_array_equal(w, [0.3, 0.7])
 
@@ -100,10 +108,10 @@ class TestNonlinearPair:
         # candidates on the first axis, one set per column
         C = np.array([[0.5, 0.5], [0.3, 0.7], [0.2, 0.8]]).T
         I = np.array([[0.0, 10.0], [np.inf, np.inf], [1.0, 2.0]]).T
-        w, fb = nonlinear_pair(C, I, eps=1e-6, t=2.0)
+        w, fb = nonlinear_pair(C, powered(I, 1e-6, 2.0))
         np.testing.assert_array_equal(fb, [False, True, False])
         for col in range(3):
-            w_col, fb_col = nonlinear_pair(C[:, col], I[:, col], eps=1e-6, t=2.0)
+            w_col, fb_col = nonlinear_pair(C[:, col], powered(I[:, col], 1e-6, 2.0))
             np.testing.assert_array_equal(w[:, col], w_col)
             assert fb[col] == fb_col
 
@@ -131,11 +139,39 @@ class TestNonlinearPair:
         for cols in ([0, 1, 2, 3, 4, 5, 6], [0, 6], [3, 0], *([c] for c in range(7))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = nonlinear_pair(C[:, cols], I[:, cols], eps, t)
+                got = nonlinear_pair(C[:, cols], powered(I[:, cols], eps, t))
             want = plain(C[:, cols], I[:, cols])
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(plain(C, I)[1], [False, True, True, True, True, True, False])
+
+    @pytest.mark.parametrize("t", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-200])
+    def test_denominators_give_the_indicator_formula_bit_for_bit(self, eps, t):
+        # raising (eps + I)^t once and dividing by it gives the weights and
+        # flags of alpha = C / (eps + I)^t formed per candidate set, on sets
+        # with inf, NaN and zero sums among finite ones, 2 to 8 candidates
+        rng = np.random.default_rng(int(7 * t))
+        for shape in ((2, 40), (4, 40), (8, 5, 8)):
+            C = np.moveaxis(rng.dirichlet(np.ones(shape[0]), shape[1:]), -1, 0).copy()
+            I = rng.uniform(0.0, 10.0, shape) * 10.0 ** rng.integers(-20, 20, shape)
+            flat_C, flat_I = C.reshape(shape[0], -1), I.reshape(shape[0], -1)
+            flat_I[:, 0] = np.inf       # every alpha 0: a zero sum
+            flat_I[0, 1] = np.nan       # a NaN sum
+            flat_C[:, 2] = 0.0          # a zero sum
+            flat_I[:, 3] = 1e300        # the power overflows when t > 1
+            flat_I[:, 4] = 0.0          # alpha = C / eps^t
+            with np.errstate(all="ignore"):
+                alpha = C / (eps + I) ** t
+                s = reduce(np.add, alpha)
+                bad = ~np.isfinite(s) | (s <= 0.0)
+                want = np.where(bad, C, alpha / np.where(bad, 1.0, s))
+            assert bad.reshape(-1)[:3].all()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, flags = nonlinear_pair(C, powered(I, eps, t))
+            np.testing.assert_array_equal(flags, bad)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestParams:
@@ -710,6 +746,24 @@ def test_non_numeric_input_raises_named_error(call, error, match):
     # the library boundary names the input, never numpy's TypeError
     with pytest.raises(error, match=match):
         call(random_gf(1, 12, seed=9), WenoParams(r=3))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda gf, p: interpolate_batch(gf, [0.5 + 3j], p), WenoError, "points must be real"),
+    (lambda gf, p: interpolate_batch(gf, np.array([0.5, 0.6]) + 0j, p), WenoError,
+     "points must be real"),
+    (lambda gf, p: interpolate_nd(gf, 0.5 + 3j, p), WenoError, "points must be real"),
+    (lambda gf, p: GridFunction(gf.grid, gf.values + 1j), GridError,
+     "grid field 'values' must hold real numbers"),
+    (lambda gf, p: Grid1D(gf.grid.axes[0].nodes + 0j), GridError,
+     "grid field 'nodes' must hold real numbers"),
+], ids=["batch-list", "batch-array", "nd", "grid-function-values", "grid-nodes"])
+def test_complex_input_raises_named_error(call, error, match):
+    # a cast would drop the imaginary parts and answer at the real ones
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call(random_gf(1, 12, seed=9), WenoParams(r=3))
 
 
 @st.composite
