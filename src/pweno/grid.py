@@ -298,20 +298,21 @@ def _check_window(grid: TensorGrid, axis: int, i: np.ndarray, r: int) -> None:
         )
 
 
-def _axis_cells(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """nodes.searchsorted(x), by one merge where x is sorted.
+def _sorted_search(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """keys.searchsorted(x) for sorted keys, by one merge where x is sorted.
 
-    Only the m nodes between x's first and last entry can split x; when x is
-    sorted and m < len(x), searching those m nodes into x (about
+    Only the m keys between x's first and last entry can split x; when x is
+    sorted and m < len(x), searching those m keys into x (about
     m log(len(x)/m) comparisons) and expanding the counts costs less than
-    one search per query. NaN fails the sortedness test, so it is searched.
+    one search per entry of x. NaN fails the sortedness test, so it is
+    searched. Used for an axis' nodes and for the indicator memo's cells.
     """
     if x.size > 1 and (x[1:] >= x[:-1]).all():
-        lo, hi = nodes.searchsorted(x[[0, -1]])
+        lo, hi = keys.searchsorted(x[[0, -1]])
         if hi - lo < x.size:
-            ends = x.searchsorted(nodes[lo:hi], side="right")
+            ends = x.searchsorted(keys[lo:hi], side="right")
             return np.repeat(np.arange(lo, hi + 1), np.diff(ends, prepend=0, append=x.size))
-    return nodes.searchsorted(x)
+    return keys.searchsorted(x)
 
 
 def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.ndarray:
@@ -320,8 +321,8 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
     Cell i of an axis holds the queries x in (x_{i-1}, x_i]; a query on the
     first node belongs to cell 1. With r given, raises
     InsufficientStencilError unless r <= i_j and i_j + r - 1 <= J_j on every
-    axis. One search per axis (_axis_cells: a merge where the axis' queries
-    are sorted) gives i_j = 0 below the domain and on its first node,
+    axis. One search per axis (_sorted_search: a merge where the axis'
+    queries are sorted) gives i_j = 0 below the domain and on its first node,
     J_j + 1 above it and for NaN, so one test of
     r <= i_j <= J_j - r + 1 (1 <= i_j <= J_j without r) passes every valid
     query of a call. Only when it fails are the same cells checked axis by
@@ -332,11 +333,11 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
     """
     lo = 1 if r is None else r
     if grid.ndim == 1:  # the column as it is: copying it costs more than a merge
-        cells = _axis_cells(grid.axes[0].nodes, pts[:, 0])[:, None]
+        cells = _sorted_search(grid.axes[0].nodes, pts[:, 0])[:, None]
     else:
         cells = np.empty(pts.shape, dtype=np.intp)
         for axis, ax in enumerate(grid.axes):
-            cells[:, axis] = _axis_cells(ax.nodes, pts[:, axis])
+            cells[:, axis] = _sorted_search(ax.nodes, pts[:, axis])
     if ((cells >= lo) & (cells <= np.array(grid.shape) - lo)).all():
         return cells
     for axis, ax in enumerate(grid.axes):

@@ -32,8 +32,9 @@ samples of every sub-stencil on every axis come from one
 derivative_samples call at one cached Gauss rule. Indicators are computed
 once per distinct cell at level r; higher recursion levels reuse them by
 index shifts. Each grid function remembers the tables of the cells it was
-queried at, per r, and a later call looks them up by each point's own cell,
-so it builds only cells no earlier call on it built; it gathers its rows
+queried at, per r, and a later call looks them up by each point's own cell
+(by one merge, grid._sorted_search, where the cells are sorted), so it
+builds only cells no earlier call on it built; it gathers its rows
 with one take from the source that serves most of its points.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction, _check_window, blocks
+from .grid import GridFunction, _check_window, _sorted_search, blocks
 
 
 # Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
@@ -250,8 +251,8 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     indices with their tables, replaced in one assignment, its arrays
     read-only: concurrent calls may build a cell twice, or drop one another's
     new cells, but never read a half-built memo. The runs are searched with
-    the call's own flat cells, oldest (longest) run first, and no further
-    once every point is found; only the cells still missing go through
+    the call's own flat cells (by one merge where they are sorted), oldest
+    (longest) run first, and no further once every point is found; only the cells still missing go through
     np.unique, to be built once each. The result is one take of rows from
     the source that serves most points (the oldest run of a warm call, the
     build of a fresh one); only the other sources' points are filled by mask.
@@ -265,7 +266,7 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     for known, tables in runs:
         if not missing.any():   # every point found; the runs are disjoint
             break
-        at = known.searchsorted(flat)
+        at = _sorted_search(known, flat)
         hit = known.take(at, mode="clip") == flat
         sources.append((np.count_nonzero(hit), hit, tables, at))
         missing &= ~hit
