@@ -34,8 +34,8 @@ once per distinct cell at level r; higher recursion levels reuse them by
 index shifts. Each grid function remembers the tables of the cells it was
 queried at, per r, and a later call looks them up by each point's own cell
 (by one merge, grid._sorted_search, where the cells are sorted), so it
-builds only cells no earlier call on it built; it gathers its rows
-with one take from the source that serves most of its points.
+builds only cells no earlier call on it built; it gathers its rows with one
+take from the source that serves most of its points.
 """
 from __future__ import annotations
 
@@ -252,10 +252,11 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     read-only: concurrent calls may build a cell twice, or drop one another's
     new cells, but never read a half-built memo. The runs are searched with
     the call's own flat cells (by one merge where they are sorted), oldest
-    (longest) run first, and no further once every point is found; only the cells still missing go through
-    np.unique, to be built once each. The result is one take of rows from
-    the source that serves most points (the oldest run of a warm call, the
-    build of a fresh one); only the other sources' points are filled by mask.
+    (longest) run first, and no further once every point is found; only the
+    cells still missing go through np.unique, to be built once each. The
+    result is one take of rows from the source that serves most points (the
+    oldest run of a warm call, the build of a fresh one); only the other
+    sources' points are filled by mask.
     """
     n = gf.grid.ndim
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)

@@ -34,11 +34,10 @@ call, which is most of a one-point call's cost: grid.locate_cells searches
 once per axis, by one merge where the axis' points are sorted, and tests
 validity once; indicator_tables searches its memo with the points' own
 cells (by the same merge where they are sorted), stops once every point is
-found, sorts only the cells it has yet to
-build, and gathers the points' rows with one take from the source that
-serves most of them; and nonlinear_pair, the one normalization, applies the
-linear-weight fallback only when some candidate sum is not finite and
-positive.
+found, sorts only the cells it has yet to build, and gathers the points'
+rows with one take from the source that serves most of them; and
+nonlinear_pair, the one normalization, applies the linear-weight fallback
+only when some candidate sum is not finite and positive.
 """
 from __future__ import annotations
 
@@ -153,7 +152,7 @@ def nonlinear_pair(linear_weights, denominators):
     """
     C = np.asarray(linear_weights, dtype=np.float64)
     # inf, NaN (0/0) or 0 sums trigger the fallback
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         alpha = C / np.asarray(denominators, dtype=np.float64)
     s = reduce(np.add, alpha)
     bad = ~np.isfinite(s) | (s <= 0.0)

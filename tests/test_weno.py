@@ -146,11 +146,12 @@ class TestNonlinearPair:
         np.testing.assert_array_equal(plain(C, I)[1], [False, True, True, True, True, True, False])
 
     @pytest.mark.parametrize("t", [1.0, 1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("eps", [1e-6, 1e-200])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-160, 1e-200])
     def test_denominators_give_the_indicator_formula_bit_for_bit(self, eps, t):
         # raising (eps + I)^t once and dividing by it gives the weights and
         # flags of alpha = C / (eps + I)^t formed per candidate set, on sets
-        # with inf, NaN and zero sums among finite ones, 2 to 8 candidates
+        # with inf, NaN and zero sums among finite ones, 2 to 8 candidates;
+        # at eps = 1e-160, t >= 2, C / eps^t overflows without a warning
         rng = np.random.default_rng(int(7 * t))
         for shape in ((2, 40), (4, 40), (8, 5, 8)):
             C = np.moveaxis(rng.dirichlet(np.ones(shape[0]), shape[1:]), -1, 0).copy()
