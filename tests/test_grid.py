@@ -218,6 +218,21 @@ def merge_cases(draw):
     return TensorGrid(tuple(axes)), pts, r
 
 
+def assert_like_the_point_loop(grid, pts, r):
+    """locate_cells gives reference.locate_cells_loop's cells (npts, n) as
+    intp, or raises its exception class with its message."""
+    try:
+        want = locate_cells_loop(grid, pts, r)
+    except GridError as err:
+        with pytest.raises(type(err)) as got:
+            locate_cells(grid, pts, r)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        got = locate_cells(grid, pts, r)
+        assert got.dtype == np.intp and got.shape == pts.shape
+        np.testing.assert_array_equal(got, want)
+
+
 def locate_1d(nodes, x):
     """locate_cells on the one-axis grid of nodes, as one cell per query."""
     return locate_cells(TensorGrid((Grid1D(nodes),)), np.asarray(x)[:, None])[:, 0]
@@ -264,34 +279,15 @@ class TestLocate:
     def test_matches_the_point_loop(self, case):
         # the same cells, or the same exception class and message, as one
         # axis and one point at a time
-        grid, pts, r = case
-        try:
-            want = locate_cells_loop(grid, pts, r)
-        except GridError as err:
-            with pytest.raises(type(err)) as got:
-                locate_cells(grid, pts, r)
-            assert type(got.value) is type(err) and str(got.value) == str(err)
-        else:
-            np.testing.assert_array_equal(locate_cells(grid, pts, r), want)
+        assert_like_the_point_loop(*case)
 
     @given(merge_cases())
     @settings(max_examples=300, deadline=None)
     def test_merge_matches_the_point_loop(self, case):
         # a sorted axis is located by a merge when the nodes its queries
         # span are fewer than they are, else by a search per query: either
-        # way the cells, or the exception class and message, of one axis
-        # and one point at a time
-        grid, pts, r = case
-        try:
-            want = locate_cells_loop(grid, pts, r)
-        except GridError as err:
-            with pytest.raises(type(err)) as got:
-                locate_cells(grid, pts, r)
-            assert type(got.value) is type(err) and str(got.value) == str(err)
-        else:
-            got = locate_cells(grid, pts, r)
-            assert got.dtype == np.intp and got.shape == pts.shape
-            np.testing.assert_array_equal(got, want)
+        # way as one axis and one point at a time
+        assert_like_the_point_loop(*case)
 
     @pytest.mark.parametrize("J, npts, merged", [(8, 50, True), (400, 50, False), (8, 1, False)])
     def test_only_a_sorted_axis_with_few_spanned_nodes_is_merged(self, monkeypatch, J, npts,
