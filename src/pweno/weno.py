@@ -137,6 +137,9 @@ class InterpResult:
     neville: NevilleState | None = None
 
 
+# np.errstate as a decorator costs about half a with block per call, and
+# keeps its state per call, so concurrent calls may share it
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def nonlinear_pair(linear_weights, denominators):
     """Indicator-modulated normalization of sets of linear weights.
 
@@ -152,13 +155,21 @@ def nonlinear_pair(linear_weights, denominators):
     """
     C = np.asarray(linear_weights, dtype=np.float64)
     # inf, NaN (0/0) or 0 sums trigger the fallback
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        alpha = C / np.asarray(denominators, dtype=np.float64)
+    alpha = C / np.asarray(denominators, dtype=np.float64)
     s = reduce(np.add, alpha)
     bad = ~np.isfinite(s) | (s <= 0.0)
     if bad.any():
         return np.where(bad, C, alpha / np.where(bad, 1.0, s)), bad
     return alpha / s, bad
+
+
+@np.errstate(over="ignore")     # an inf denominator triggers the fallback
+def _denominators(indicators: np.ndarray, eps: float, t: float) -> np.ndarray:
+    """(eps + I)^t of indicators (r^n, c), once per point, as a new
+    C-contiguous array."""
+    den = np.add(eps, indicators, order="C")
+    den **= t
+    return den
 
 
 def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
@@ -238,11 +249,8 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
     if tables is None:
         return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, base, None
     eps, t = params.resolve_eps(gf.grid), params.resolve_t()
-    # (eps + I)^t once per point, points last; every node below reads it by
-    # index shifts
-    den = np.add(eps, tables.reshape(npts, -1).T, order="C").reshape(base.shape)
-    with np.errstate(over="ignore"):    # inf denominators trigger the fallback
-        den **= t
+    # every node below reads these by index shifts
+    den = _denominators(tables.reshape(npts, -1).T, eps, t).reshape(base.shape)
     if params.method == "classical":
         C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)]).reshape(r ** n, npts)
         omega, fallback = nonlinear_pair(C, den.reshape(r ** n, npts))
