@@ -137,8 +137,10 @@ class InterpResult:
     neville: NevilleState | None = None
 
 
-# np.errstate as a decorator costs about half a with block per call, and
-# keeps its state per call, so concurrent calls may share it
+# np.errstate as a decorator costs about half a with block per call; numpy 2
+# keeps its saved state per call, so threads may share the decorated function
+# (numpy 1 keeps one saved state per decorator, so threads that set different
+# error states could restore one another's)
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def nonlinear_pair(linear_weights, denominators):
     """Indicator-modulated normalization of sets of linear weights.
