@@ -45,11 +45,12 @@ def _float_array(data, name: str) -> np.ndarray:
     cast would drop their imaginary parts.
     """
     try:
-        data = np.asarray(data)
+        data = np.array(data)   # the one copy; the cast below copies only other dtypes
         if data.dtype.kind != "c":
-            return np.array(data, dtype=np.float64)
+            return data.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise GridError(f"grid field {name!r} must hold numbers in nested lists") from None
+    # out here: a GridError is a ValueError, which the except would rename
     raise GridError(f"grid field {name!r} must hold real numbers, not complex ones")
 
 
@@ -332,12 +333,9 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
     at r = 1.
     """
     lo = 1 if r is None else r
-    if grid.ndim == 1:  # the column as it is: copying it costs more than a merge
-        cells = _sorted_search(grid.axes[0].nodes, pts[:, 0])[:, None]
-    else:
-        cells = np.empty(pts.shape, dtype=np.intp)
-        for axis, ax in enumerate(grid.axes):
-            cells[:, axis] = _sorted_search(ax.nodes, pts[:, axis])
+    cells = np.empty(pts.shape, dtype=np.intp)
+    for axis, ax in enumerate(grid.axes):
+        cells[:, axis] = _sorted_search(ax.nodes, pts[:, axis])
     if ((cells >= lo) & (cells <= np.array(grid.shape) - lo)).all():
         return cells
     for axis, ax in enumerate(grid.axes):

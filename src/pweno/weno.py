@@ -137,10 +137,9 @@ class InterpResult:
     neville: NevilleState | None = None
 
 
-# np.errstate as a decorator costs about half a with block per call; numpy 2
-# keeps its saved state per call, so threads may share the decorated function
-# (numpy 1 keeps one saved state per decorator, so threads that set different
-# error states could restore one another's)
+# np.errstate as a decorator costs about half a with block per call; it keeps
+# its saved state per call (numpy 2; the floor in pyproject.toml), so threads
+# may share the decorated functions
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def nonlinear_pair(linear_weights, denominators):
     """Indicator-modulated normalization of sets of linear weights.
@@ -228,7 +227,7 @@ def _as_points(points, ndim: int) -> np.ndarray:
             pts = pts.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise WenoError("points must be numbers in an array or nested lists") from None
-    if pts.dtype.kind == "c":
+    if pts.dtype.kind == "c":   # out here: a WenoError is a ValueError, which the except renames
         raise WenoError("points must be real numbers, not complex ones")
     if pts.ndim == 1 and (ndim == 1 or pts.size == 0):
         pts = pts.reshape(-1, ndim)
