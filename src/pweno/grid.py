@@ -18,9 +18,12 @@ its first bad axis and point.
 """
 from __future__ import annotations
 
+import math
+import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -145,16 +148,19 @@ class GridFunction:
     grid function keeps its own read-only copy. It also remembers, per r,
     the indicator table of every cell it was queried at (see
     smoothness.indicator_tables), for as long as it lives: a later query in
-    the same cell finds the table by its own cell, with no sort. That costs
-    distinct cells queried x r^n x 8 B per r. The linear method builds no
-    tables.
+    the same cell finds its table through a row index over the grid's
+    cells, with no search and no sort. That costs 8 B per grid node plus
+    distinct cells queried x r^n x 8 B, per r. The linear method builds no
+    tables. A pickled or copied grid function starts with an empty memo.
     """
 
     grid: TensorGrid
     values: np.ndarray
-    # r -> runs of (sorted flat cell indices (K,), their tables (K, r**n)),
-    # read-only; owned by smoothness.indicator_tables
+    # r -> (row of each flat cell or -1 (prod shape,), tables (capacity, r**n),
+    # rows built); owned by smoothness.indicator_tables, which builds under the lock
     _indicator_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _memo_lock: threading.Lock = field(init=False, repr=False, compare=False,
+                                       default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
         values = _float_array(self.values, "values")
@@ -166,6 +172,10 @@ class GridFunction:
             raise GridError("values must all be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    def __reduce__(self):
+        # the memo is a cache and a lock does not pickle: rebuild from the fields
+        return GridFunction, (self.grid, self.values)
 
     @classmethod
     def from_callable(cls, grid: TensorGrid, fn) -> "GridFunction":
@@ -222,12 +232,26 @@ def blocks(a: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return a.take(off.reshape(off.shape + (1,) * first.ndim) + first)
 
 
+def _check_range(a, b) -> None:
+    """GridError unless a < b and b - a is finite (NaN fails a < b)."""
+    if not a < b:
+        raise GridError(f"invalid range: need a < b, got a={a}, b={b}")
+    if not math.isfinite(float(b) - float(a)):     # Python floats overflow to inf silently
+        raise GridError(f"invalid range: b - a overflows, got a={a}, b={b}")
+
+
+def _check_count(value, name: str, symbol: str, least: int) -> None:
+    """GridError unless value is an integer (a bool is not) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise GridError(f"invalid {name}: need an integer, got {value!r}")
+    if value < least:
+        raise GridError(f"invalid {name}: need {symbol} >= {least}, got {value}")
+
+
 def build_uniform_grid(a: float, b: float, J: int) -> Grid1D:
     """Uniform partition of [a, b] into J cells (J+1 nodes)."""
-    if a >= b:
-        raise GridError(f"invalid range: need a < b, got a={a}, b={b}")
-    if J < 1:
-        raise GridError(f"invalid cell count: need J >= 1, got {J}")
+    _check_range(a, b)
+    _check_count(J, "cell count", "J", 1)
     return Grid1D(np.linspace(a, b, J + 1))
 
 
@@ -239,10 +263,8 @@ def build_random_grid(a: float, b: float, J: int, seed: int) -> Grid1D:
     If the sorted draws collide to full precision (Grid1D rejects them) the
     whole interior set is redrawn, up to 100 attempts.
     """
-    if a >= b:
-        raise GridError(f"invalid range: need a < b, got a={a}, b={b}")
-    if J < 2:
-        raise GridError(f"invalid cell count: need J >= 2, got {J}")
+    _check_range(a, b)
+    _check_count(J, "cell count", "J", 2)
     rng = np.random.default_rng(seed)
     for _ in range(100):
         with suppress(GridError):
@@ -255,7 +277,7 @@ def refine_dyadic(g: Grid1D) -> Grid1D:
     old = g.nodes
     out = np.empty(2 * old.size - 1, dtype=np.float64)
     out[0::2] = old
-    out[1::2] = 0.5 * (old[:-1] + old[1:])
+    out[1::2] = 0.5 * old[:-1] + 0.5 * old[1:]     # halves first: the sum may overflow
     return Grid1D(out)
 
 
@@ -266,8 +288,7 @@ def build_perturbed_grid(level: int, seed: int) -> Grid1D:
     clamped to -1 and 1. If a draw breaks monotonicity, only the offending
     offsets are redrawn, at most 100 attempts.
     """
-    if level < 1:
-        raise GridError(f"invalid level: need level >= 1, got {level}")
+    _check_count(level, "level", "level", 1)
     J = 2 ** level
     h = 2.0 ** (1 - level)
     base = -1.0 + h * np.arange(J + 1)
@@ -306,7 +327,7 @@ def _sorted_search(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     sorted and m < len(x), searching those m keys into x (about
     m log(len(x)/m) comparisons) and expanding the counts costs less than
     one search per entry of x. NaN fails the sortedness test, so it is
-    searched. Used for an axis' nodes and for the indicator memo's cells.
+    searched. locate_cells uses it for each axis' nodes.
     """
     if x.size > 1 and (x[1:] >= x[:-1]).all():
         lo, hi = keys.searchsorted(x[[0, -1]])

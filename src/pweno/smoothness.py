@@ -32,10 +32,9 @@ samples of every sub-stencil on every axis come from one
 derivative_samples call at one cached Gauss rule. Indicators are computed
 once per distinct cell at level r; higher recursion levels reuse them by
 index shifts. Each grid function remembers the tables of the cells it was
-queried at, per r, and a later call looks them up by each point's own cell
-(by one merge, grid._sorted_search, where the cells are sorted), so it
-builds only cells no earlier call on it built; it gathers its rows with one
-take from the source that serves most of its points.
+queried at, per r, with one row index over its cells, so a later call
+gathers its points' row numbers, builds only the cells no earlier call on
+it built, and takes its rows in one take.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction, _check_window, _sorted_search, blocks
+from .grid import GridFunction, _check_window, blocks
 
 
 # Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
@@ -205,33 +204,19 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
     return total.reshape(nc, per_cell)
 
 
-def _cell_tables(gf: GridFunction, flat: np.ndarray, r: int) -> np.ndarray:
-    """Indicator tables (len(flat), r**n) of the cells with flat indices flat
-    (distinct, sorted): one _sub_stencil_samples and one _indicator_values
-    call. A cell without a full 2r window raises InsufficientStencilError
-    first, naming the first such cell of the first axis that has one."""
+def _cell_tables(gf: GridFunction, flat: np.ndarray, r: int, out: np.ndarray) -> None:
+    """Write the indicator tables (len(flat), r**n) of the cells with flat
+    indices flat (distinct, sorted) into out: one _sub_stencil_samples and
+    one _indicator_values call. A cell without a full 2r window raises
+    InsufficientStencilError before out is touched, naming the first such
+    cell of the first axis that has one."""
     cells = np.stack(np.unravel_index(flat, gf.grid.shape), axis=1)
     for axis in range(gf.grid.ndim):
         _check_window(gf.grid, axis, cells[:, axis], r)
     pts, gw = gauss_rule(r + 1)
     wts = _square_weights(r + 1, tuple(gw), gf.grid.ndim)
     S, first, scale = _sub_stencil_samples(gf, cells, r, pts)
-    return _indicator_values(gf, cells, r, S, first, wts) * scale[:, None]
-
-
-def _add_run(runs: tuple, known: np.ndarray, tables: np.ndarray) -> tuple:
-    """runs plus the sorted run (known, tables), merged into the newest runs
-    while they are at most twice as long. Run lengths then more than double
-    from newest to oldest, so a memo of K cells has at most log2(K) + 1 runs
-    to search, and a cell is copied O(log K) times however its cells arrive
-    (one new cell per call would otherwise copy the whole memo per call)."""
-    while runs and runs[-1][0].size <= 2 * known.size:
-        (old, old_tables), runs = runs[-1], runs[:-1]
-        at = np.searchsorted(old, known)
-        known, tables = np.insert(old, at, known), np.insert(old_tables, at, tables, axis=0)
-    known.setflags(write=False)
-    tables.setflags(write=False)
-    return runs + ((known, tables),)
+    np.multiply(_indicator_values(gf, cells, r, S, first, wts), scale[:, None], out=out)
 
 
 def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
@@ -244,49 +229,40 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     cell by flat index, and leaves the memo as it was.
 
     gf remembers the table of every cell it was asked for at this r, for as
-    long as it lives (distinct cells x r^n x 8 B), so a call builds only the
-    distinct cells no earlier call built. A cell's table does not depend on
-    the other cells of its call, so the answer does not depend on what was
-    asked before. The memo is a tuple of disjoint sorted runs of flat cell
-    indices with their tables, replaced in one assignment, its arrays
-    read-only: concurrent calls may build a cell twice, or drop one another's
-    new cells, but never read a half-built memo. The runs are searched with
-    the call's own flat cells (by one merge where they are sorted), oldest
-    (longest) run first, and no further once every point is found; only the
-    cells still missing go through np.unique, to be built once each. The
-    result is one take of rows from the source that serves most points (the
-    oldest run of a warm call, the build of a fresh one); only the other
-    sources' points are filled by mask.
+    long as it lives, so a call builds only the distinct cells no earlier
+    call built. A cell's table does not depend on the other cells of its
+    call, so the answer does not depend on what was asked before. The memo
+    at r is (rows, tables, count): rows[flat] is the cell's row in tables,
+    or -1 while it is unbuilt (8 B per grid node), and tables holds count
+    built rows (distinct cells x r^n x 8 B) in room that doubles as it
+    fills. A warm call is one gather of row numbers and one take. A call
+    with unbuilt cells builds them under gf's lock, once each, writes their
+    rows, publishes the tables, and only then their row numbers, so a
+    reader without the lock never meets a row that is not built.
     """
     n = gf.grid.ndim
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
-    runs = gf._indicator_memo.get(r, ())
-    # per source: the points it serves, their mask, its tables, and each
-    # point's row in them (valid where the mask is set)
-    sources, missing = [], np.ones(flat.size, dtype=bool)
-    for known, tables in runs:
-        if not missing.any():   # every point found; the runs are disjoint
-            break
-        at = _sorted_search(known, flat)
-        hit = known.take(at, mode="clip") == flat
-        sources.append((np.count_nonzero(hit), hit, tables, at))
-        missing &= ~hit
-    if missing.any():
-        new, inverse = np.unique(flat[missing], return_inverse=True)
-        built = _cell_tables(gf, new, r)
-        gf._indicator_memo[r] = _add_run(runs, new, built)
-        at = inverse
-        if inverse.size < flat.size:
-            at = np.zeros(flat.size, dtype=np.intp)
-            at[missing] = inverse
-        sources.append((inverse.size, missing, built, at))
-    if not sources:     # no points
-        return np.empty((0,) + (r,) * n)
-    # one take from the source that serves most points, after the build, so
-    # the two peaks do not add; only the other sources' points go by mask
-    _, main, tables, at = max(sources, key=lambda source: source[0])
-    out = tables.take(at, axis=0, mode="clip")
-    for count, hit, tables, at in sources:
-        if count and hit is not main:
-            out[hit] = tables[at[hit]]
-    return out.reshape((-1,) + (r,) * n)
+    memo = gf._indicator_memo.get(r)
+    if memo is not None:
+        at = memo[0].take(flat)
+        if (at >= 0).all():
+            # look the tables up only now: a build publishes its row numbers last
+            return gf._indicator_memo[r][1].take(at, axis=0).reshape((-1,) + (r,) * n)
+    with gf._memo_lock:
+        rows, tables, count = gf._indicator_memo.get(r) or (
+            np.full(gf.values.size, -1, dtype=np.intp), np.empty((0, r ** n)), 0)
+        at = rows.take(flat)
+        missing = at < 0
+        if missing.any():
+            # return_inverse keeps np.unique on its sort path: its hash path imports numpy.ma
+            new, inverse = np.unique(flat[missing], return_inverse=True)
+            end = count + new.size
+            if end > len(tables):
+                grown = np.empty((max(end, 2 * len(tables)), r ** n))
+                grown[:count] = tables[:count]
+                tables = grown
+            _cell_tables(gf, new, r, tables[count:end])
+            gf._indicator_memo[r] = (rows, tables, end)
+            rows[new] = np.arange(count, end)
+            at[missing] = count + inverse.ravel()
+        return tables.take(at, axis=0).reshape((-1,) + (r,) * n)

@@ -32,12 +32,11 @@ triangle as arrays (NevilleState). Both read points through _as_points.
 The work around the arithmetic is a fixed, small number of array passes per
 call, which is most of a one-point call's cost: grid.locate_cells searches
 once per axis, by one merge where the axis' points are sorted, and tests
-validity once; indicator_tables searches its memo with the points' own
-cells (by the same merge where they are sorted), stops once every point is
-found, sorts only the cells it has yet to build, and gathers the points'
-rows with one take from the source that serves most of them; and
-nonlinear_pair, the one normalization, applies the linear-weight fallback
-only when some candidate sum is not finite and positive.
+validity once; indicator_tables gathers the points' row numbers from its
+memo's row index, sorts only the cells it has yet to build, and takes the
+rows in one take; and nonlinear_pair, the one normalization, applies the
+linear-weight fallback only when some candidate sum is not finite and
+positive.
 """
 from __future__ import annotations
 

@@ -1,6 +1,10 @@
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pweno import WenoParams, interpolate_batch
@@ -126,6 +130,11 @@ class TestRefineDyadic:
         np.testing.assert_allclose(f.nodes, build_uniform_grid(0.0, 1.0, 16).nodes,
                                    atol=1e-16)
 
+    def test_nodes_near_the_largest_float(self):
+        # the sum of two nodes overflows here; their halves do not
+        f = refine_dyadic(Grid1D([1e308, 1.7e308]))
+        np.testing.assert_array_equal(f.nodes, [1e308, 1.35e308, 1.7e308])
+
 
 class TestBuildPerturbed:
     def test_shape_and_bounds(self):
@@ -147,6 +156,36 @@ class TestBuildPerturbed:
     def test_invalid_level(self):
         with pytest.raises(GridError):
             build_perturbed_grid(0, seed=0)
+
+
+class TestBuilderArguments:
+    @given(a=st.floats(allow_nan=True, allow_infinity=True),
+           b=st.floats(allow_nan=True, allow_infinity=True),
+           count=st.one_of(st.integers(-2, 10), st.booleans(),
+                           st.floats(allow_nan=True, allow_infinity=True)),
+           seed=st.integers(0, 2**32))
+    @example(a=0.0, b=1.0, count=2.5, seed=0)
+    @example(a=-1e308, b=1e308, count=4, seed=0)
+    @example(a=0.0, b=1.0, count=True, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_bad_arguments_raise_grid_error(self, a, b, count, seed):
+        # an integer count (not a bool) and a finite b - a > 0, else GridError
+        # naming the argument; good arguments give a grid, or GridError when
+        # floats cannot hold count + 1 distinct nodes in [a, b]
+        whole = isinstance(count, int) and not isinstance(count, bool)
+        span = a < b and math.isfinite(b - a)
+        builds = [(lambda: build_uniform_grid(a, b, count), span, 1, count),
+                  (lambda: build_random_grid(a, b, count, seed), span, 2, count),
+                  (lambda: build_perturbed_grid(count, seed), True, 1, whole and 2 ** count)]
+        for build, good_range, least, cells in builds:
+            if good_range and whole and count >= least:
+                try:
+                    assert build().n_cells == cells
+                except GridError as err:
+                    assert "invalid" not in str(err)
+            else:
+                with pytest.raises(GridError, match="invalid"):
+                    build()
 
 
 @st.composite
@@ -374,6 +413,18 @@ class TestTensorGridAndFunction:
         back = GridFunction.from_dict(gf.to_dict())
         np.testing.assert_array_equal(back.values, gf.values)
         np.testing.assert_array_equal(back.grid.axes[0].nodes, grid.axes[0].nodes)
+
+    def test_pickles_and_copies_without_its_memo(self):
+        # the memo is a cache and its lock cannot be pickled: a pickled or
+        # copied grid function starts empty and gives the same answers
+        gf = GridFunction.from_callable(TensorGrid((build_uniform_grid(0, 1, 12),)), np.sin)
+        pts = np.linspace(0.3, 0.7, 9)
+        want = interpolate_batch(gf, pts, WenoParams(r=3)).values
+        for back in (pickle.loads(pickle.dumps(gf)), copy.deepcopy(gf), copy.copy(gf)):
+            assert back._indicator_memo == {} and back._memo_lock is not gf._memo_lock
+            np.testing.assert_array_equal(back.values, gf.values)
+            np.testing.assert_array_equal(interpolate_batch(back, pts, WenoParams(r=3)).values,
+                                          want)
 
     def test_keeps_its_own_copy(self):
         # the caller's arrays stay writable, and writing to them (or to the

@@ -390,9 +390,10 @@ def counting(calls, name, fn):
 
 
 class TestMemoLookup:
-    """The memo runs are searched with the call's own cells, sorted or not,
-    so a warm call sorts nothing; only the cells still to be built go
-    through np.unique. Any order of the same cells gives the same tables."""
+    """The memo's row index is gathered with the call's own cells, sorted or
+    not, so a warm call sorts nothing; only the cells still to be built go
+    through np.unique. Any order of the same cells gives the same tables. A
+    run is the cells one call added: they hold the next rows of the memo."""
 
     def unique_calls(self, monkeypatch):
         calls = {"unique": 0}
@@ -454,9 +455,10 @@ class TestMemoLookup:
                                           (J - 2 * r + 2,) * n), axis=1) + r
         assert (np.diff(self.flat(gf, cells)) < 0).any()
         want = indicator_tables(fresh(gf), cells, r)
-        for lo, hi in ((0, 40), (40, 50), (50, 52)):
-            indicator_tables(gf, cells[lo:hi], r)
-        assert [known.size for known, _ in gf._indicator_memo[r]] == [40, 10, 2]
+        runs = [cells[lo:hi] for lo, hi in ((0, 40), (40, 50), (50, 52))]
+        for run in runs:
+            indicator_tables(gf, run, r)
+        assert_memo_rows(gf, r, [self.flat(gf, run) for run in runs])
         for at in (0, 39, 45, 51, 52):
             calls = self.unique_calls(monkeypatch)
             got = indicator_tables(gf, cells[at][None], r)
@@ -475,9 +477,10 @@ class TestMemoLookup:
         gf = random_gf(rng, n, J)
         cells = np.stack(np.unravel_index(rng.permutation((J - 2 * r + 2) ** n)[:58],
                                           (J - 2 * r + 2,) * n), axis=1) + r
-        for lo, hi in ((0, 40), (40, 50), (50, 52)):
-            indicator_tables(gf, cells[lo:hi], r)
-        assert [known.size for known, _ in gf._indicator_memo[r]] == [40, 10, 2]
+        runs = [cells[lo:hi] for lo, hi in ((0, 40), (40, 50), (50, 52))]
+        for run in runs:
+            indicator_tables(gf, run, r)
+        assert_memo_rows(gf, r, [self.flat(gf, run) for run in runs])
         ask = np.concatenate([cells[[3, 17, 44, 48, 50, 51]], cells[52:]])
         ask = np.concatenate([ask, ask])[rng.permutation(2 * len(ask))]
         np.testing.assert_array_equal(indicator_tables(gf, ask, r),
@@ -543,8 +546,22 @@ class TestBatchedBuild:
 
 def memo_cells(gf, r):
     """Flat indices of the cells gf's indicator memo holds at r, sorted."""
-    runs = gf._indicator_memo.get(r, ())
-    return np.sort(np.concatenate([known for known, _ in runs])) if runs else np.empty(0, int)
+    memo = gf._indicator_memo.get(r)
+    return np.empty(0, int) if memo is None else np.flatnonzero(memo[0] >= 0)
+
+
+def assert_memo_rows(gf, r, calls):
+    """gf's memo at r gives the new cells of each call in calls (flat cell
+    indices, in call order) its next rows, by flat index; every other cell
+    reads -1."""
+    rows, tables, count = gf._indicator_memo[r]
+    built = np.empty(0, dtype=np.intp)
+    for flat in calls:
+        new = np.setdiff1d(flat, built)
+        np.testing.assert_array_equal(rows[new], built.size + np.arange(new.size))
+        built = np.concatenate((built, new))
+    assert count == built.size <= len(tables) and tables.shape[1] == r ** gf.grid.ndim
+    assert (np.delete(rows, built) == -1).all()
 
 
 class TestIndicatorMemo:
@@ -610,15 +627,15 @@ class TestIndicatorMemo:
         for earlier, r0 in history:
             pweno.interpolate_batch(gf, earlier, pweno.WenoParams(r=r0))
             cells = locate_cells(gf.grid, earlier, r0)
-            asked[r0] = np.union1d(asked.get(r0, []),
+            asked[r0] = np.union1d(asked.get(r0, np.empty(0, int)),
                                    np.ravel_multi_index(tuple(cells.T), gf.grid.shape))
         for r0, want in asked.items():
             np.testing.assert_array_equal(memo_cells(gf, r0), want)
-        for r0, runs in gf._indicator_memo.items():
-            for known, tables in runs:
-                assert not known.flags.writeable and not tables.flags.writeable
-                assert tables.shape == (known.size, r0 ** gf.grid.ndim)
-                assert (np.diff(known) > 0).all()
+            # unasked cells read -1; asked cells hold distinct rows below the count
+            rows, tables, count = gf._indicator_memo[r0]
+            assert np.array_equal(np.sort(rows[want]), np.arange(count))
+            assert tables.shape == (len(tables), r0 ** gf.grid.ndim) and count <= len(tables)
+        assert set(gf._indicator_memo) == set(asked)
         params = pweno.WenoParams(r=r, method=method)
         warm, cold = (pweno.interpolate_batch(g, pts, params) for g in (gf, fresh(gf)))
         for field in ("values", "cells", "fallback"):
@@ -631,6 +648,39 @@ class TestIndicatorMemo:
                 assert one.indicators is None
             else:
                 np.testing.assert_array_equal(one.indicators, ref.indicators)
+
+    def test_threads_build_each_cell_once(self, monkeypatch):
+        # more threads than cores on overlapping cells of a fresh grid
+        # function, switching as often as the interpreter lets them: each
+        # cell is built once, and every thread gets a fresh build's tables
+        r, n, J = 3, 2, 40
+        rng = np.random.default_rng(8)
+        base = random_gf(rng, n, J)
+        built = []
+
+        def spy(gf, flat, *args):
+            built.append(flat)
+            return real(gf, flat, *args)
+
+        real = smoothness._cell_tables
+        monkeypatch.setattr(smoothness, "_cell_tables", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                gf, built[:] = fresh(base), []
+                cells = rng.integers(r, J - r + 2, size=(700, n))
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(indicator_tables, gf, cells[k:k + 400], r)
+                               for k in (0, 100, 200, 300)]
+                    got = [f.result(timeout=60) for f in futures]
+                every = np.concatenate(built)
+                assert every.size == np.unique(every).size
+                want = indicator_tables(fresh(base), cells, r)
+                for k, tables in zip((0, 100, 200, 300), got):
+                    np.testing.assert_array_equal(tables, want[k:k + 400])
+        finally:
+            sys.setswitchinterval(interval)
 
     @given(memo_cases())
     @settings(max_examples=15, deadline=None)
