@@ -240,18 +240,16 @@ def _check_range(a, b) -> None:
         raise GridError(f"invalid range: b - a overflows, got a={a}, b={b}")
 
 
-def _check_count(value, name: str, symbol: str, least: int) -> None:
+def _check_count(value, name: str, least: int) -> None:
     """GridError unless value is an integer (a bool is not) of at least least."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise GridError(f"invalid {name}: need an integer, got {value!r}")
-    if value < least:
-        raise GridError(f"invalid {name}: need {symbol} >= {least}, got {value}")
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise GridError(f"invalid {name}: need an integer >= {least}, got {value!r}")
 
 
 def build_uniform_grid(a: float, b: float, J: int) -> Grid1D:
     """Uniform partition of [a, b] into J cells (J+1 nodes)."""
     _check_range(a, b)
-    _check_count(J, "cell count", "J", 1)
+    _check_count(J, "cell count", 1)
     return Grid1D(np.linspace(a, b, J + 1))
 
 
@@ -264,7 +262,7 @@ def build_random_grid(a: float, b: float, J: int, seed: int) -> Grid1D:
     whole interior set is redrawn, up to 100 attempts.
     """
     _check_range(a, b)
-    _check_count(J, "cell count", "J", 2)
+    _check_count(J, "cell count", 2)
     rng = np.random.default_rng(seed)
     for _ in range(100):
         with suppress(GridError):
@@ -288,7 +286,7 @@ def build_perturbed_grid(level: int, seed: int) -> Grid1D:
     clamped to -1 and 1. If a draw breaks monotonicity, only the offending
     offsets are redrawn, at most 100 attempts.
     """
-    _check_count(level, "level", "level", 1)
+    _check_count(level, "level", 1)
     J = 2 ** level
     h = 2.0 ** (1 - level)
     base = -1.0 + h * np.arange(J + 1)
