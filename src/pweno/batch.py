@@ -1,10 +1,10 @@
 """Many query points at once through the WENO engine of weno.py.
 
 interpolate_batch runs the same engine as interpolate_nd, for any dimension,
-on all points together: it sorts them once and runs them in chunks of a
-fixed byte budget, so its memory does not grow with the number of points,
-and builds indicator tables once per distinct cell, in one call, and only
-for cells no earlier call on the same grid function built.
+on all points together: it runs them in chunks of a fixed byte budget,
+sorted by their first coordinate when they fill more than one, so its
+memory does not grow with the number of points, and builds indicator tables
+in one call, once per distinct cell the grid function has not built yet.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from .weno import WenoParams, _as_points, evaluate
 class BatchResult:
     values: np.ndarray
     cells: np.ndarray
-    base_min: np.ndarray
-    base_max: np.ndarray
     fallback: np.ndarray
 
 

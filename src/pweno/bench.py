@@ -60,7 +60,6 @@ class Bench1DConfig:
     level_min: int = 5
     level_max: int = 9
     eval_points: int = 10000
-    t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def _run(config: Bench1DConfig, ndim: int) -> RefinementReport:
         raise BenchConfigError("level range is empty")
     if config.level_min < min_level:
         raise BenchConfigError(f"levels must start at {min_level} or above")
-    params = WenoParams(r=config.r, method=config.method, t=config.t)
+    params = WenoParams(r=config.r, method=config.method)
     tau = np.array(tau_values(config.eval_points)) if ndim == 2 else None
     r = config.r
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .batch import interpolate_batch
@@ -38,7 +39,6 @@ def _add_bench_flags(p, functions, grids, config):
     p.add_argument("--levels", default=f"{config.level_min}..{config.level_max}",
                    metavar="LMIN..LMAX")
     p.add_argument("--eval-points", type=int, default=config.eval_points)
-    p.add_argument("--t", type=float, default=config.t)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--strict", action="store_true",
@@ -64,7 +64,7 @@ def _cmd_bench(args) -> int:
     config = (Bench1DConfig if one_d else Bench2DConfig)(
         function=args.function, r=args.r, method=args.method, grid=args.grid,
         seed=args.seed, level_min=lo, level_max=hi,
-        eval_points=args.eval_points, t=args.t,
+        eval_points=args.eval_points,
     )
     report = run_refinement_1d(config) if one_d else run_refinement_2d(config)
     return _finish(report_to_text(report, args.format), args.out, args.strict,
@@ -106,9 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

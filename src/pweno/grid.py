@@ -10,11 +10,11 @@ locate_cells, the one cell locator, costs one search per axis and one
 validity test on the whole (npts, n) cell array, whatever the number of
 points: a point below or above the domain, NaN, the first node and a cell
 without a full window all fail that one test. An axis whose queries are
-sorted, as a large 1-D call sorts them, is located by one merge of the
-nodes they span into the queries, when those nodes are fewer than the
-queries; else each query is searched among the nodes. Only a call that
-fails the test checks the same cells axis by axis, to raise the error of
-its first bad axis and point.
+sorted, as the engine sorts a large call's first axis, is located by one
+merge of the nodes they span into the queries, when those nodes are fewer
+than the queries; else each query is searched among the nodes. Only a call
+that fails the test checks the same cells axis by axis, to raise the error
+of its first bad axis and point.
 """
 from __future__ import annotations
 
@@ -149,15 +149,16 @@ class GridFunction:
     the indicator table of every cell it was queried at (see
     smoothness.indicator_tables), for as long as it lives: a later query in
     the same cell finds its table through a row index over the grid's
-    cells, with no search and no sort. That costs 8 B per grid node plus
-    distinct cells queried x r^n x 8 B, per r. The linear method builds no
-    tables. A pickled or copied grid function starts with an empty memo.
+    cells, with no search and no sort, under the grid function's lock. That
+    costs 8 B per grid node plus distinct cells queried x r^n x 8 B, per r.
+    The linear method builds no tables. A pickled or copied grid function
+    starts with an empty memo.
     """
 
     grid: TensorGrid
     values: np.ndarray
     # r -> (row of each flat cell or -1 (prod shape,), tables (capacity, r**n),
-    # rows built); owned by smoothness.indicator_tables, which builds under the lock
+    # rows built); only smoothness.indicator_tables uses it, under the lock
     _indicator_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _memo_lock: threading.Lock = field(init=False, repr=False, compare=False,
                                        default_factory=threading.Lock)

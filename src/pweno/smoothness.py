@@ -235,19 +235,12 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     at r is (rows, tables, count): rows[flat] is the cell's row in tables,
     or -1 while it is unbuilt (8 B per grid node), and tables holds count
     built rows (distinct cells x r^n x 8 B) in room that doubles as it
-    fills. A warm call is one gather of row numbers and one take. A call
-    with unbuilt cells builds them under gf's lock, once each, writes their
-    rows, publishes the tables, and only then their row numbers, so a
-    reader without the lock never meets a row that is not built.
+    fills. Every call runs under gf's lock, so threads sharing gf build
+    each cell once: a warm call is one gather of row numbers and one take,
+    and a call with unbuilt cells first builds them and adds their rows.
     """
     n = gf.grid.ndim
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
-    memo = gf._indicator_memo.get(r)
-    if memo is not None:
-        at = memo[0].take(flat)
-        if (at >= 0).all():
-            # look the tables up only now: a build publishes its row numbers last
-            return gf._indicator_memo[r][1].take(at, axis=0).reshape((-1,) + (r,) * n)
     with gf._memo_lock:
         rows, tables, count = gf._indicator_memo.get(r) or (
             np.full(gf.values.size, -1, dtype=np.intp), np.empty((0, r ** n)), 0)
@@ -262,7 +255,7 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
                 grown[:count] = tables[:count]
                 tables = grown
             _cell_tables(gf, new, r, tables[count:end])
-            gf._indicator_memo[r] = (rows, tables, end)
             rows[new] = np.arange(count, end)
+            gf._indicator_memo[r] = (rows, tables, end)
             at[missing] = count + inverse.ravel()
         return tables.take(at, axis=0).reshape((-1,) + (r,) * n)

@@ -19,24 +19,24 @@ remains. Indicators are computed once per cell, at level r, and _chunk
 raises each point's denominators (eps + I)^t once; every level reads them
 by index shifts.
 
-evaluate, behind batch.interpolate_batch, sorts the points once (by x in
-1-D before locating them, as sorted queries locate by a merge; else by flat
-cell), builds all their cells' indicator tables in one indicator_tables
-call, and runs the sorted points in contiguous chunks of at most
-smoothness._CHUNK_BYTES of value windows (at least _MIN_CHUNK points), so
-memory does not grow with npts. Answers go back in the caller's order; a
-one-chunk call is neither sorted nor scattered. interpolate_nd runs one
-chunk of one point; with capture=True it also returns its recursion
+evaluate, behind batch.interpolate_batch, sorts a call of more than one
+chunk by the points' first coordinate before locating them (sorted queries
+locate by a merge), builds all their cells' indicator tables in one
+indicator_tables call, and runs the sorted points in contiguous chunks of
+at most smoothness._CHUNK_BYTES of value windows (at least _MIN_CHUNK
+points), so memory does not grow with npts. Answers go back in the caller's
+order; a one-chunk call is neither sorted nor scattered. interpolate_nd runs
+one chunk of one point, with capture=True also returning its recursion
 triangle as arrays (NevilleState). Both read points through _as_points.
 
 The work around the arithmetic is a fixed, small number of array passes per
 call, which is most of a one-point call's cost: grid.locate_cells searches
 once per axis, by one merge where the axis' points are sorted, and tests
-validity once; indicator_tables gathers the points' row numbers from its
-memo's row index, sorts only the cells it has yet to build, and takes the
-rows in one take; and nonlinear_pair, the one normalization, applies the
-linear-weight fallback only when some candidate sum is not finite and
-positive.
+validity once; indicator_tables, under the grid function's lock, gathers
+the points' row numbers from its memo's row index, sorts only the cells it
+has yet to build, and takes the rows in one take; and nonlinear_pair, the
+one normalization, applies the linear-weight fallback only when some
+candidate sum is not finite and positive.
 """
 from __future__ import annotations
 
@@ -131,7 +131,6 @@ class InterpResult:
     value: float
     cell: CellIndex
     indicators: np.ndarray | None
-    base_values: np.ndarray
     linear_fallback: bool = False
     neville: NevilleState | None = None
 
@@ -238,23 +237,22 @@ def _as_points(points, ndim: int) -> np.ndarray:
 def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: WenoParams,
            capture: bool = False):
     """The method at c points x (n, c) in cells (c, n) with their tables
-    ((c,) + (r,)*n, None for the linear method). Returns their c values (in
-    some shape) and fallback flags, base values (r,)*n + (c,), and with
-    capture the first point's triangle."""
+    ((c,) + (r,)*n, None for the linear method): their c values (in some
+    shape), fallback flags and, with capture, the first point's triangle."""
     r, n, npts = params.r, gf.grid.ndim, x.shape[1]
     windows = [blocks(ax.nodes, cells[:, a, None] - r, 2 * r)
                for a, ax in enumerate(gf.grid.axes)]
     base = _neville(blocks(gf.values, cells - r, 2 * r), windows, x, range(r))
     fallback = np.zeros(npts, dtype=bool)
     if tables is None:
-        return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, base, None
+        return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, None
     eps, t = params.resolve_eps(gf.grid), params.resolve_t()
     # every node below reads these by index shifts
     den = _denominators(tables.reshape(npts, -1).T, eps, t).reshape(base.shape)
     if params.method == "classical":
         C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)]).reshape(r ** n, npts)
         omega, fallback = nonlinear_pair(C, den.reshape(r ** n, npts))
-        return reduce(np.add, omega * base.reshape(r ** n, npts)), fallback, base, None
+        return reduce(np.add, omega * base.reshape(r ** n, npts)), fallback, None
     state = NevilleState(r=r, ndim=n, values={r: base[..., 0]}) if capture else None
     top = base
     for l in range(r, 2 * r - 1):
@@ -279,38 +277,32 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
         top = nxt
         if state is not None:
             state.values[l + 1] = top[..., 0]
-    return top, fallback, base, state
+    return top, fallback, state
 
 
 def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     """The configured method at query points pts of shape (npts, n): their
-    values, cells (npts, n), smallest and largest base values and fallback
-    flags, in the caller's order, from sorted chunks (see the module docstring).
+    values, cells (npts, n) and fallback flags, in the caller's order, from
+    chunks sorted by the first coordinate (see the module docstring).
     """
     r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
     chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), _MIN_CHUNK)
-    order = np.argsort(pts[:, 0]) if n == 1 and npts > chunk else None
+    order = np.argsort(pts[:, 0]) if npts > chunk else None
     spts = pts if order is None else pts[order]
     try:
         cells = locate_cells(gf.grid, spts, r)
     except InsufficientStencilError:
         locate_cells(gf.grid, pts, r)   # raises it again, for the caller's first such point
         raise
-    if n > 1 and npts > chunk:
-        order = np.argsort(np.ravel_multi_index(tuple(cells.T), gf.grid.shape))
-        spts, cells = pts[order], cells[order]
     tables = None if params.method == "linear" else indicator_tables(gf, cells, r)
-    values, base_min, base_max = np.empty(npts), np.empty(npts), np.empty(npts)
-    fallback, located = np.empty(npts, dtype=bool), np.empty_like(cells)
+    values, fallback, located = np.empty(npts), np.empty(npts, dtype=bool), np.empty_like(cells)
     for lo in range(0, npts, chunk):
         rows = slice(lo, min(lo + chunk, npts))
-        top, bad, base, _ = _chunk(gf, spts[rows].T, cells[rows],
-                                      None if tables is None else tables[rows], params)
+        top, bad, _ = _chunk(gf, spts[rows].T, cells[rows],
+                             None if tables is None else tables[rows], params)
         dest = rows if order is None else order[rows]
         values[dest], fallback[dest], located[dest] = top.reshape(-1), bad, cells[rows]
-        base = base.reshape(r ** n, -1)
-        base_min[dest], base_max[dest] = base.min(axis=0), base.max(axis=0)
-    return values, located, base_min, base_max, fallback
+    return values, located, fallback
 
 
 def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
@@ -322,7 +314,7 @@ def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
     pts = _as_points([x_star], gf.grid.ndim)
     cells = locate_cells(gf.grid, pts, params.r)
     tables = None if params.method == "linear" else indicator_tables(gf, cells, params.r)
-    top, bad, base, state = _chunk(gf, pts.T, cells, tables, params, capture)
+    top, bad, state = _chunk(gf, pts.T, cells, tables, params, capture)
     return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0].tolist())),
-                        None if tables is None else tables[0], base[..., 0],
+                        None if tables is None else tables[0],
                         linear_fallback=bool(bad[0]), neville=state)

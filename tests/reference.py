@@ -13,9 +13,11 @@ pair-weight products over every root-to-leaf path of the triangle.
 
 Also here: cell location one point at a time (locate_cells_loop), the
 oracle of pweno.grid.locate_cells; Lagrange evaluation in exact rational
-arithmetic (exact_lagrange_1d); the smoothness indicator by its
-definition, through numpy's polynomial routines and nothing of
-pweno.smoothness; the closed-form midpoint weights and the small helpers
+arithmetic (exact_lagrange_1d); the base sub-stencil values of many 1-D
+points at once by Lagrange basis products (sub_stencil_values_1d); the
+smoothness indicator by its definition, through numpy's polynomial routines
+and nothing of pweno.smoothness; the closed-form midpoint weights and the
+small helpers
 that only the tests use, among them override_indicators, which substitutes
 a fixed indicator table for the engine's.
 """
@@ -117,6 +119,30 @@ def exact_lagrange_1d(nodes, values, x_star) -> float:
                 term *= (x - xj) / (xi - xj)
         total += term
     return float(total)
+
+
+def sub_stencil_values_1d(nodes, values, x, r: int) -> np.ndarray:
+    """The r base sub-stencil interpolants of a 1-D grid function at many
+    points x, shape (npts, r): entry k interpolates values on nodes
+    i - r + k .. i + k of x's cell i, x in (x_{i-1}, x_i].
+
+    Vectorized over the points, each as the Lagrange sum of value times
+    basis product, with the cell from one searchsorted: no Neville step and
+    nothing of pweno. Every point needs a full 2r window.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    first = np.maximum(np.searchsorted(nodes, x), 1) - r
+    out = np.zeros((x.size, r))
+    for k in range(r):
+        idx = first[:, None] + k + np.arange(r + 1)
+        w, f = nodes[idx], values[idx]
+        for j in range(r + 1):
+            basis = np.ones(x.size)
+            for m in range(r + 1):
+                if m != j:
+                    basis *= (x - w[:, m]) / (w[:, j] - w[:, m])
+            out[:, k] += f[:, j] * basis
+    return out
 
 
 def tensor_lagrange_eval(gf: GridFunction, starts, width: int, x_star) -> float:

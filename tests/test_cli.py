@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pweno import cli
 from pweno.cli import main
 
 CSV_HEADER = "level,region,error,order,method,r,grid,seed"
@@ -243,3 +244,31 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    # main parses with one parser per process and gives the reports of a
+    # freshly built one; build_parser itself still builds a new parser
+    real, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(real()) or built[-1])
+    cli._parser.cache_clear()
+    argvs = [["bench1d", "--function", "f1", "--levels", "5..5", "--eval-points", "900"],
+             ["bench2d", "--function", "f4", "--levels", "4..4", "--eval-points", "1"]] * 2
+    outs = []
+    for argv in argvs:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(built) == 1 and outs[:2] == outs[2:]
+    for argv, out in zip(argvs[:2], outs):
+        args = real().parse_args(argv)
+        assert args.func(args) == 0
+        assert capsys.readouterr().out == out
+    assert real() is not real()
+
+
+def test_bench_has_no_t_flag(capsys):
+    # the weight exponent t stays a library parameter (WenoParams.t)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench1d", "--function", "f1", "--t", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t 2" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import re
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 from pathlib import Path
@@ -320,8 +321,8 @@ class TestStepData:
             n = 1 + trial % 2
             gf = random_gf(n, 12, seed=trial)
             x = np.array([0.5 * (ax.nodes[5] + ax.nodes[6]) for ax in gf.grid.axes])
-            res = interpolate_nd(gf, x, WenoParams(r=3))
-            lo, hi = res.base_values.min(), res.base_values.max()
+            res = interpolate_nd(gf, x, WenoParams(r=3), capture=True)
+            lo, hi = res.neville.values[3].min(), res.neville.values[3].max()
             pad = 1e-12 * max(1.0, abs(lo), abs(hi))
             assert lo - pad <= res.value <= hi + pad
 
@@ -334,7 +335,9 @@ class TestDiagnostics:
         state = res.neville
         assert [state.values[l].shape for l in (3, 4, 5)] == [(3,), (2,), (1,)]
         assert [state.weights[l].shape for l in (3, 4)] == [(2, 2), (1, 2)]
-        np.testing.assert_array_equal(state.values[3], res.base_values)
+        np.testing.assert_allclose(state.values[3],
+                                   reference_interpolate(gf, x, WenoParams(r=3)).base_values,
+                                   rtol=1e-10, atol=1e-12)
         assert state.values[5][(0,)] == res.value
 
     def test_weights_convex_at_every_node(self):
@@ -476,8 +479,10 @@ def full_window_points(gf, r, npts, rng):
 
 
 def assert_both_match_reference(gf, pts, params, override=None):
-    """interpolate_batch and interpolate_nd both equal the scalar reference;
-    override, if given, is the indicator table of every point."""
+    """interpolate_batch and interpolate_nd both equal the scalar reference,
+    and a captured call's base values equal the reference's; override, if
+    given, is the indicator table of every point. Returns the batch answer
+    and the reference answers."""
     want = [reference_interpolate(gf, p, params, smoothness_override=override)
             for p in pts]
     with nullcontext() if override is None else override_indicators(override):
@@ -490,9 +495,13 @@ def assert_both_match_reference(gf, pts, params, override=None):
     np.testing.assert_array_equal([s.cell.i for s in single], [w.cell.i for w in want])
     np.testing.assert_array_equal(batch.fallback, [w.linear_fallback for w in want])
     for s, w in zip(single, want):
-        np.testing.assert_allclose(s.base_values, w.base_values, rtol=1e-10, atol=1e-12)
         assert s.linear_fallback == w.linear_fallback
-    return batch
+    # base values do not depend on the method or the indicators
+    progressive = replace(params, method="progressive")
+    for p, w in zip(pts, want):
+        base = interpolate_nd(gf, p, progressive, capture=True).neville.values[params.r]
+        np.testing.assert_allclose(base, w.base_values, rtol=1e-10, atol=1e-12)
+    return batch, want
 
 
 class TestBatchEngine:
@@ -582,11 +591,9 @@ class TestBatchEngine:
         for p, point in enumerate(pts):
             res = reference_interpolate(gf, [point], params)
             assert got.cells[p, 0] == res.cell.i[0]
-            assert got.base_min[p] == pytest.approx(res.base_values.min(), rel=1e-12)
-            assert got.base_max[p] == pytest.approx(res.base_values.max(), rel=1e-12)
+            lo, hi = res.base_values.min(), res.base_values.max()
+            assert lo - 1e-10 <= got.values[p] <= hi + 1e-10
         assert not got.fallback.any()
-        assert ((got.base_min - 1e-10 <= got.values)
-                & (got.values <= got.base_max + 1e-10)).all()
 
     def test_fallback_column(self):
         g = build_uniform_grid(0, 1, 16)
@@ -607,7 +614,7 @@ class TestBatchEngine:
         for n, method in product((1, 2, 3), METHODS):
             out = interpolate_batch(random_gf(n, 8, seed=n), np.zeros((0, n)),
                                     WenoParams(r=2, method=method))
-            assert out.values.shape == out.base_min.shape == out.fallback.shape == (0,)
+            assert out.values.shape == out.fallback.shape == (0,)
             assert out.cells.shape == (0, n)
         with pytest.raises(ValueError):
             interpolate_batch(gf, np.zeros((3, 2)), WenoParams(r=3))
@@ -642,14 +649,13 @@ class TestChunks:
     @settings(max_examples=40, deadline=None)
     def test_chunk_boundaries_and_caller_order(self, n, r, method, points, seed):
         # chunks of 1-3 points, and a caller's order that is not the sorted
-        # one (its first point sorts last): every answer lands on its own
-        # point, bit for bit as in one chunk and as a one-point call
+        # one (its first point sorts last by the first coordinate): every
+        # answer lands on its own point, bit for bit as in one chunk and as a
+        # one-point call
         gf = random_gf(n, 2 * r + 3, seed=seed % 10**6)
         rng = np.random.default_rng(seed)
         pts = full_window_points(gf, r, 9, rng)
-        cells = locate_cells(gf.grid, pts, r)
-        key = pts[:, 0] if n == 1 else np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
-        last = int(np.argmax(key))
+        last = int(np.argmax(pts[:, 0]))
         pts = pts[np.concatenate(([last], rng.permutation(np.delete(np.arange(9), last))))]
         params = WenoParams(r=r, method=method)
         whole = interpolate_batch(gf, pts, params)      # one chunk, nothing sorted
@@ -657,21 +663,22 @@ class TestChunks:
             tiny_chunks(mp, n, r, points)
             chunked = interpolate_batch(gf, pts, params)
             single = [interpolate_nd(gf, p, params) for p in pts]
-        for name in ("values", "cells", "fallback", "base_min", "base_max"):
+        for name in ("values", "cells", "fallback"):
             np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
         np.testing.assert_array_equal(whole.values, [s.value for s in single])
         np.testing.assert_array_equal(whole.cells, [s.cell.i for s in single])
         np.testing.assert_array_equal(whole.fallback, [s.linear_fallback for s in single])
-        np.testing.assert_array_equal(whole.base_min, [s.base_values.min() for s in single])
-        np.testing.assert_array_equal(whole.base_max, [s.base_values.max() for s in single])
 
-    def test_stencil_error_names_the_callers_first_point(self, monkeypatch):
-        # 1-D calls sort their points before locating them; the error still
-        # names the cell of the caller's first point that lacks a window
-        gf = random_gf(1, 12, seed=3)
-        nodes = gf.grid.axes[0].nodes
-        pts = 0.5 * (nodes[:-1] + nodes[1:])[[11, 5, 0, 6]]     # cells 12, 6, 1, 7
-        tiny_chunks(monkeypatch, 1, 3, 1)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stencil_error_names_the_callers_first_point(self, monkeypatch, n):
+        # calls of more than one chunk sort their points by the first
+        # coordinate before locating them; the error still names the cell of
+        # the caller's first point that lacks a window
+        gf = random_gf(n, 12, seed=3)
+        mids = [0.5 * (ax.nodes[:-1] + ax.nodes[1:]) for ax in gf.grid.axes]
+        pts = np.stack([mids[0][[11, 5, 0, 6]]]                  # cells 12, 6, 1, 7
+                       + [np.full(4, m[5]) for m in mids[1:]], axis=1)
+        tiny_chunks(monkeypatch, n, 3, 1)
         with pytest.raises(InsufficientStencilError, match="cell 12 lacks"):
             interpolate_batch(gf, pts, WenoParams(r=3))
         with pytest.raises(InsufficientStencilError, match="cell 1 lacks"):
@@ -718,7 +725,7 @@ class TestNevilleExactness:
                 reach = np.maximum(reach, np.abs(c))
         for p in np.argsort(reach)[-60:]:
             f = gf.values[first[p]:first[p] + 2 * r]
-            base = interpolate_nd(gf, x[p], WenoParams(r=r)).base_values
+            base = interpolate_nd(gf, x[p], WenoParams(r=r), capture=True).neville.values[r]
             for k in range(r):
                 exact = exact_lagrange_1d(w[p, k:k + r + 1], f[k:k + r + 1], x[p])
                 assert abs(base[k] - exact) <= 1e-13 * (1.0 + abs(exact))
@@ -795,12 +802,35 @@ class TestEngineProperties:
     @settings(max_examples=40, deadline=None)
     def test_entry_points_equal_reference(self, case):
         gf, pts, r, method = case
-        batch = assert_both_match_reference(gf, pts, WenoParams(r=r, method=method))
+        batch, want = assert_both_match_reference(gf, pts, WenoParams(r=r, method=method))
         if method != "linear":
-            pad = 1e-12 * np.maximum(1.0, np.maximum(np.abs(batch.base_min),
-                                                     np.abs(batch.base_max)))
-            assert ((batch.base_min - pad <= batch.values)
-                    & (batch.values <= batch.base_max + pad)).all()
+            base = np.array([w.base_values.ravel() for w in want])
+            lo, hi = base.min(axis=1), base.max(axis=1)
+            pad = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+            assert ((lo - pad <= batch.values) & (batch.values <= hi + pad)).all()
+
+
+class TestAxisScaling:
+    @given(st.integers(2, 3), st.integers(2, 4), st.sampled_from(METHODS), st.integers(-20, 20),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_power_of_two_scaling_of_one_axis_is_exact(self, n, r, method, k, seed):
+        # scaling one axis' nodes and that coordinate of the points by 2^k,
+        # with a constant eps, scales every gap, indicator ratio and pair
+        # weight exactly: the answers keep their bits
+        gf = random_gf(n, 2 * r + 3, seed=seed % 10**6)
+        rng = np.random.default_rng(seed)
+        pts = full_window_points(gf, r, 12, rng)
+        a = int(rng.integers(n))
+        axes = list(gf.grid.axes)
+        axes[a] = Grid1D(np.ldexp(axes[a].nodes, k))
+        scaled = GridFunction(TensorGrid(tuple(axes)), gf.values)
+        spts = pts.copy()
+        spts[:, a] = np.ldexp(spts[:, a], k)
+        params = WenoParams(r=r, method=method, epsilon_rule=1e-6)
+        want, got = interpolate_batch(gf, pts, params), interpolate_batch(scaled, spts, params)
+        for name in ("values", "cells", "fallback"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_readme_library_block_runs(capsys):
