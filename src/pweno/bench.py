@@ -159,14 +159,11 @@ def _run(config: Bench1DConfig, ndim: int) -> RefinementReport:
         else:
             if ndim == 1:
                 centre = [int(locate_cells(gf.grid, np.array([[tf.jump_x]]))[0, 0])]
-                if centre[0] - 5 < 0 or centre[0] + 4 > n_cells[0]:
-                    raise BenchConfigError(f"evaluation window leaves the domain at level {level}")
             else:   # the cell right of the node nearest the origin
                 centre = [int(np.argmin(np.abs(n))) + 1 for n in nodes]
             spans = [(c - h, c + h) for c, h in zip(centre, half)]
             if any(a - r < 0 or b + r - 1 > m for (a, b), m in zip(spans, n_cells)):
-                what = "stencil" if ndim == 1 else "region"
-                raise BenchConfigError(f"{what} windows leave the domain at level {level}")
+                raise BenchConfigError(f"stencil windows leave the domain at level {level}")
         if ndim == 1:
             # eval_points points spread evenly over the window, its right end included
             (n,), ((a, b),) = nodes, spans

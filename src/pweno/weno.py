@@ -264,6 +264,7 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
         nxt = np.empty((size,) * n + (npts,))
         if state is not None:
             state.weights[l] = np.empty((size,) * n + (2,) * n)
+        # kept: one array pass per level gave the same bits, slower (CHANGES.md)
         for j in product(range(size), repeat=n):
             C = _outer([p[:, ja] for p, ja in zip(pairs, j)])
             # child j+v reuses the level-r denominator (eps + I^r_{j + shift*v})^t
@@ -287,6 +288,7 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     """
     r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
     chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), _MIN_CHUNK)
+    # kept: chunks in caller order, or a sort of every call, ran slower (CHANGES.md)
     order = np.argsort(pts[:, 0]) if npts > chunk else None
     spts = pts if order is None else pts[order]
     try:

@@ -98,9 +98,12 @@ class TestRun1D:
                                             level_min=4, level_max=6))
 
     def test_coarse_level_leaves_domain(self):
-        with pytest.raises(BenchConfigError):
+        # the evaluation window and the stencil windows share one check and message
+        with pytest.raises(BenchConfigError, match="stencil windows leave the domain at level 3"):
             run_refinement_1d(Bench1DConfig("f1", r=4, level_min=3, level_max=5,
                                             eval_points=900))
+        with pytest.raises(BenchConfigError, match="stencil windows leave the domain at level 2"):
+            run_refinement_1d(Bench1DConfig("f1", level_min=2, level_max=3))
 
     def test_too_few_eval_points_rejected(self):
         with pytest.raises(BenchConfigError):

@@ -102,6 +102,8 @@ class TestBench1D:
         assert main(["bench1d", "--function", "f1", "--r", "4",
                      "--levels", "3..5", "--eval-points", "900"]) == 2
         capsys.readouterr()
+        assert main(["bench1d", "--function", "f1", "--levels", "2..3"]) == 2
+        assert capsys.readouterr().err == "error: stencil windows leave the domain at level 2\n"
 
 
 class TestBench2D:

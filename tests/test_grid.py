@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from itertools import product
 
 import numpy as np
 import pytest
@@ -138,15 +139,17 @@ class TestRefineDyadic:
 
 class TestBuildPerturbed:
     def test_shape_and_bounds(self):
-        level = 5
-        g = build_perturbed_grid(level, seed=11)
-        J = 2**level
-        h = 2.0 ** (1 - level)
-        assert g.nodes.size == J + 1
-        assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
-        base = -1.0 + h * np.arange(J + 1)
-        assert np.all(np.abs(g.nodes - base) <= h / 2 + 1e-15)
-        assert np.all(np.diff(g.nodes) > 0)
+        # one draw per grid: every gap positive, the ends exact, each node
+        # within h/2 of its uniform place
+        for level, seed in product(range(1, 13), range(20)):
+            J = 2**level
+            h = 2.0 ** (1 - level)
+            base = -1.0 + h * np.arange(J + 1)
+            g = build_perturbed_grid(level, seed)
+            assert g.nodes.size == J + 1
+            assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
+            assert np.all(np.abs(g.nodes - base) < h / 2)
+            assert np.all(np.diff(g.nodes) > 0)
 
     def test_deterministic(self):
         g1 = build_perturbed_grid(4, seed=2)

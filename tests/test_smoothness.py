@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -705,3 +708,36 @@ class TestIndicatorMemo:
             sys.setswitchinterval(interval)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+NO_MA_SCRIPT = """
+import sys
+import numpy as np
+from pweno import WenoParams, interpolate_batch
+from pweno.cli import main
+from pweno.grid import GridFunction, TensorGrid, build_random_grid
+
+rng = np.random.default_rng(0)
+for n, npts in ((1, 5000), (2, 2000)):
+    axes = tuple(build_random_grid(0.0, 1.0, 24, seed) for seed in range(n))
+    gf = GridFunction.from_callable(TensorGrid(axes), lambda *x: np.sin(sum(x)))
+    interpolate_batch(gf, 0.3 + 0.4 * rng.random((npts, n)), WenoParams(r=3))
+for argv in (["bench2d", "--function", "f4", "--grid", "perturbed", "--levels", "4..5"],
+             ["bench1d", "--function", "f2", "--grid", "random", "--seed", "4",
+              "--levels", "5..6"]):
+    assert main(argv) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_numpy_ma_import():
+    # fresh tables and both studies never import numpy.ma (1.1 MiB): numpy
+    # 2.4's np.unique imports it on its hash path, which return_inverse=True
+    # avoids in indicator_tables
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_MA_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
