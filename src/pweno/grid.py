@@ -218,19 +218,27 @@ def _block_offsets(shape: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
     return off, step
 
 
-def blocks(a: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+def blocks(a: np.ndarray, starts: np.ndarray, width: int, out=None) -> np.ndarray:
     """The one window gather: width entries per axis of a from each start.
 
     a is C-contiguous with n axes (grid values, or an axis' nodes); starts
     (..., n), each in 0 .. a.shape[j] - width on axis j, unchecked. Returns
-    a new C-contiguous ((width,)*n + starts.shape[:-1]) array, window axes
+    a C-contiguous ((width,)*n + starts.shape[:-1]) array, window axes
     first: [..., p] is a[s_1 : s_1 + width, ..., s_n : s_n + width] for
-    s = starts[p], so every later step runs over rows of all starts.
+    s = starts[p], so every later step runs over rows of all starts. With
+    out, a pair of flat float64 buffers of at least that many entries, it is
+    a view of out[0], and out[1] holds its flat index; else it is new.
     """
     off, step = _block_offsets(a.shape, width)
     first = starts @ step
-    # one flat take: indexing a strided view keeps the starts-first memory order
-    return a.take(off.reshape(off.shape + (1,) * first.ndim) + first)
+    if out is None:
+        # one flat take: indexing a strided view keeps the starts-first memory order
+        return a.take(np.add.outer(off, first))
+    size = off.size * first.size
+    index = out[1].view(np.intp)[:size].reshape(off.shape + first.shape)
+    np.add.outer(off, first, out=index)
+    # the index is in range by construction; mode="raise" would buffer the output
+    return a.take(index, out=out[0][:size].reshape(index.shape), mode="clip")
 
 
 def _check_range(a, b) -> None:
@@ -251,7 +259,9 @@ def build_uniform_grid(a: float, b: float, J: int) -> Grid1D:
     """Uniform partition of [a, b] into J cells (J+1 nodes)."""
     _check_range(a, b)
     _check_count(J, "cell count", 1)
-    return Grid1D(np.linspace(a, b, J + 1))
+    with np.errstate(over="ignore"):    # only the last node can overflow; linspace sets it to b
+        nodes = np.linspace(a, b, J + 1)
+    return Grid1D(nodes)
 
 
 def build_random_grid(a: float, b: float, J: int, seed: int) -> Grid1D:

@@ -24,9 +24,12 @@ chunk by the points' first coordinate before locating them (sorted queries
 locate by a merge), builds all their cells' indicator tables in one
 indicator_tables call, and runs the sorted points in contiguous chunks of
 at most smoothness._CHUNK_BYTES of value windows (at least _MIN_CHUNK
-points), so memory does not grow with npts. Answers go back in the caller's
-order; a one-chunk call is neither sorted nor scattered. interpolate_nd runs
-one chunk of one point, with capture=True also returning its recursion
+points), so memory does not grow with npts. A chunk of 2^14 or more window
+entries writes its value block and base steps into two buffers its thread
+keeps across calls, up to _CHUNK_BYTES each (_arena), so a warm chunk maps
+and faults no new memory for them. Answers go back in the caller's order;
+a one-chunk call is neither sorted nor scattered. interpolate_nd runs one
+chunk of one point, with capture=True also returning its recursion
 triangle as arrays (NevilleState). Both read points through _as_points.
 
 The work around the arithmetic is a fixed, small number of array passes per
@@ -41,6 +44,7 @@ candidate sum is not finite and positive.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -57,6 +61,7 @@ METHODS = ("progressive", "classical", "linear")
 # Fewest points in a chunk: below about this many, the fixed Python cost per
 # chunk of the progressive levels outweighs the cache a smaller chunk saves.
 _MIN_CHUNK = 1024
+_local = threading.local()     # this thread's buffers, for _arena only
 
 
 class WenoError(ValueError):
@@ -171,7 +176,18 @@ def _denominators(indicators: np.ndarray, eps: float, t: float) -> np.ndarray:
     return den
 
 
-def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
+def _arena(size: int):
+    """This thread's two flat float64 buffers of at least size entries (see
+    the module docstring), or None: below 2^14 entries fresh arrays cost
+    less, and a thread keeps at most smoothness._CHUNK_BYTES in each."""
+    if not 1 << 14 <= size <= smoothness._CHUNK_BYTES // 8:
+        return None
+    if getattr(_local, "size", 0) < size:
+        _local.size, _local.bufs = size, (np.empty(size), np.empty(size))
+    return _local.bufs
+
+
+def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
     """Linear Neville steps at the given levels along the leading axes of T
     (..., npts), one per window (2r, npts).
 
@@ -180,7 +196,8 @@ def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
     b + c_keep (a - b): one temporary, and no cancellation where the step
     extrapolates (|c_keep| >> 1), as c_keep a + (1 - c_keep) b has. Steps
     0..r-1 turn 2r samples into the r base values, steps r..2r-2 continue
-    to the full interpolant.
+    to the full interpolant. With arena (_arena) T is in arena[0], and the
+    steps write into arena[1] and arena[0] in turn; else each is new.
     """
     for axis, (w, xa) in enumerate(zip(windows, x)):
         # the window broadcast over T's later axes, so its pair weights are too
@@ -189,7 +206,11 @@ def _neville(T: np.ndarray, windows, x, levels) -> np.ndarray:
         hi, lo = lead + (slice(1, None),), lead + (slice(None, -1),)
         for l in levels:
             b = T[hi]
-            T = T[lo] - b
+            if arena is None:
+                T = T[lo] - b
+            else:
+                arena = arena[::-1]
+                T = np.subtract(T[lo], b, out=arena[0][:b.size].reshape(b.shape))
             T *= pair_keep(w, xa, l)
             T += b
     return T
@@ -242,7 +263,8 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
     r, n, npts = params.r, gf.grid.ndim, x.shape[1]
     windows = [blocks(ax.nodes, cells[:, a, None] - r, 2 * r)
                for a, ax in enumerate(gf.grid.axes)]
-    base = _neville(blocks(gf.values, cells - r, 2 * r), windows, x, range(r))
+    arena = _arena((2 * r) ** n * npts)
+    base = _neville(blocks(gf.values, cells - r, 2 * r, arena), windows, x, range(r), arena)
     fallback = np.zeros(npts, dtype=bool)
     if tables is None:
         return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, None
@@ -253,7 +275,7 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
         C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)]).reshape(r ** n, npts)
         omega, fallback = nonlinear_pair(C, den.reshape(r ** n, npts))
         return reduce(np.add, omega * base.reshape(r ** n, npts)), fallback, None
-    state = NevilleState(r=r, ndim=n, values={r: base[..., 0]}) if capture else None
+    state = NevilleState(r=r, ndim=n, values={r: base[..., 0].copy()}) if capture else None
     top = base
     for l in range(r, 2 * r - 1):
         shift = l - (r - 1)

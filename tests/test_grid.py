@@ -170,6 +170,8 @@ class TestBuilderArguments:
     @example(a=0.0, b=1.0, count=2.5, seed=0)
     @example(a=-1e308, b=1e308, count=4, seed=0)
     @example(a=0.0, b=1.0, count=True, seed=0)
+    @example(a=-1.7976931348623157e308, b=0.0, count=3, seed=0)
+    @example(a=0.0, b=1.7976931348623157e308, count=3, seed=0)
     @settings(max_examples=150, deadline=None)
     def test_bad_arguments_raise_grid_error(self, a, b, count, seed):
         # an integer count (not a bool) and a finite b - a > 0, else GridError

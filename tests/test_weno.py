@@ -1,6 +1,12 @@
+import os
+import platform
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import reduce
@@ -702,6 +708,106 @@ class TestChunks:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / 18_000 <= 1024
+
+
+WARM_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from pweno import GridFunction, TensorGrid, WenoParams, build_perturbed_grid, interpolate_batch
+
+axes = tuple(build_perturbed_grid(6, seed) for seed in (1, 2))
+gf = GridFunction.from_callable(TensorGrid(axes), lambda x, y: np.exp(x + y) * np.cos(x - y))
+rng = np.random.default_rng(0)
+stages = [rng.uniform(-0.8, 0.8, (3600, 2)) for _ in range(3)]
+params = WenoParams(r=3)
+faults = []
+for k in range(12):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for pts in stages:
+        interpolate_batch(gf, pts, params)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[2:]))
+"""
+
+
+class TestThreadBuffers:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the fault count follows glibc malloc's thresholds")
+    def test_warm_2d_calls_make_no_page_faults(self):
+        # three warm 3,600-point 2-D calls at r = 3 (two chunks each) keep
+        # their value blocks and Neville steps in the thread's buffers, so a
+        # round maps no new memory; fresh arrays per chunk took ~1,400 faults
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", WARM_FAULTS_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.splitlines()[-1]) < 50
+
+    def test_nothing_returned_aliases_the_arena(self):
+        # call A's arrays keep their bits through later calls that fill the
+        # thread's buffers: other grid functions, methods and dimensions
+        gf = random_gf(2, 40, seed=5)
+        rng = np.random.default_rng(5)
+        pts = full_window_points(gf, 3, 5000, rng)
+        batch = interpolate_batch(gf, pts, WenoParams(r=3))
+        one = interpolate_nd(gf, pts[0], WenoParams(r=3), capture=True)
+        kept = [batch.values, batch.cells, batch.fallback, one.indicators,
+                *one.neville.values.values(), *one.neville.weights.values()]
+        snapshot = [a.tobytes() for a in kept]
+        for n, J, r, npts in ((1, 300, 2, 40_000), (2, 30, 2, 9000), (3, 12, 2, 2500)):
+            other = random_gf(n, J, seed=n)
+            opts = full_window_points(other, r, npts, rng)
+            for method in METHODS:
+                interpolate_batch(other, opts, WenoParams(r=r, method=method))
+                interpolate_nd(other, opts[0], WenoParams(r=r, method=method), capture=True)
+        assert [a.tobytes() for a in kept] == snapshot
+
+    def test_threads_on_two_grid_functions_keep_their_own_buffers(self):
+        # two threads at once, each on its own grid function, each call two
+        # or more chunks: every answer has one thread's bits
+        gfs = [random_gf(2, 40, seed=s) for s in (6, 7)]
+        rng = np.random.default_rng(6)
+        pts = [full_window_points(gf, 3, 5000, rng) for gf in gfs]
+        params = WenoParams(r=3)
+        want = [interpolate_batch(gf, p, params).values for gf, p in zip(gfs, pts)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(interpolate_batch, gfs[k % 2], pts[k % 2], params)
+                           for k in range(12)]
+                got = [f.result(timeout=60).values for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, values in enumerate(got):
+            np.testing.assert_array_equal(values, want[k % 2])
+
+    def test_kept_memory_is_bounded(self):
+        # a 3-D r = 4 chunk at the _MIN_CHUNK floor holds a 4 MiB value block,
+        # past the budget: a thread keeps at most two buffers of the budget
+        r = 4
+        gf = random_gf(3, 9, seed=8)
+        pts = full_window_points(gf, r, weno._MIN_CHUNK, np.random.default_rng(8))
+        params = WenoParams(r=r)
+        interpolate_batch(gf, pts, params)      # builds every cell's table
+        grown = []
+
+        def call():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                interpolate_batch(gf, pts, params)
+                grown.append(tracemalloc.get_traced_memory()[0] - start)
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and grown
+        assert grown[0] <= 2 * smoothness._CHUNK_BYTES
 
 
 class TestNevilleExactness:
