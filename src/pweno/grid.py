@@ -1,20 +1,21 @@
 """Grid construction, dyadic refinement, cell location, and the window gather.
 
 Nodes along each axis are finite, strictly increasing float64 arrays whose
-gaps do not overflow; complex input is refused, not cast. Cells are the
-half-open intervals (x_{i-1}, x_i]; a query equal to the left domain endpoint
-belongs to cell 1. All grid objects are immutable after construction: each
-keeps a read-only copy of the arrays it was given.
+gaps do not overflow; complex numbers and strings are refused, not cast.
+Cells are the half-open intervals (x_{i-1}, x_i]; a query equal to the left
+domain endpoint belongs to cell 1. All grid objects are immutable after
+construction: each keeps a read-only copy of the arrays it was given.
 
 locate_cells, the one cell locator, costs one search per axis and one
 validity test on the whole (npts, n) cell array, whatever the number of
 points: a point below or above the domain, NaN, the first node and a cell
 without a full window all fail that one test. An axis whose queries are
-sorted, as the engine sorts a large call's first axis, is located by one
-merge of the nodes they span into the queries, when those nodes are fewer
-than the queries; else each query is searched among the nodes. Only a call
-that fails the test checks the same cells axis by axis, to raise the error
-of its first bad axis and point.
+sorted is located by one merge of the nodes they span into the queries,
+when those nodes are fewer than the queries; else each query is searched
+among the nodes. The engine's large calls (_locate) search their first
+axis sorted and the others in the caller's order. Only a call that fails
+the test checks the same cells axis by axis, to raise the error of its
+first bad axis and point.
 """
 from __future__ import annotations
 
@@ -44,17 +45,18 @@ def _float_array(data, name: str) -> np.ndarray:
     """A grid field as a new float64 array, or GridError naming the field.
 
     A copy, so the caller's array stays as it was and later writes to it
-    cannot reach the grid object. Complex numbers are refused, not cast: a
-    cast would drop their imaginary parts.
+    cannot reach the grid object. Complex numbers and strings are refused,
+    not cast: a cast would drop imaginary parts or parse text.
     """
     try:
         data = np.array(data)   # the one copy; the cast below copies only other dtypes
-        if data.dtype.kind != "c":
+        if data.dtype.kind not in "cUS":
             return data.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise GridError(f"grid field {name!r} must hold numbers in nested lists") from None
     # out here: a GridError is a ValueError, which the except would rename
-    raise GridError(f"grid field {name!r} must hold real numbers, not complex ones")
+    kind = "real numbers, not complex ones" if data.dtype.kind == "c" else "numbers, not strings"
+    raise GridError(f"grid field {name!r} must hold {kind}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,12 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """Tensor product of per-axis grids (n >= 1 axes)."""
+    """Tensor product of per-axis grids (n >= 1 axes). The global mesh width
+    h, the largest Grid1D.h_max, and shape are cached at construction."""
 
     axes: tuple[Grid1D, ...]
+    h: float = field(init=False, repr=False, compare=False)
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         axes = tuple(self.axes)
@@ -114,19 +119,12 @@ class TensorGrid:
         if not all(isinstance(ax, Grid1D) for ax in axes):
             raise GridError("every axis must be a Grid1D")
         object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "h", max(ax.h_max for ax in axes))
+        object.__setattr__(self, "shape", tuple(ax.nodes.size for ax in axes))
 
     @property
     def ndim(self) -> int:
         return len(self.axes)
-
-    @property
-    def h(self) -> float:
-        """Global mesh width: max over axes of the per-axis max gap."""
-        return max(ax.h_max for ax in self.axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(ax.nodes.size for ax in self.axes)
 
     def to_dict(self) -> dict:
         return {"axes": [ax.nodes.tolist() for ax in self.axes]}
@@ -351,14 +349,29 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
     axis, and the first axis with a bad query raises: OutOfDomainError if a
     query lies outside the domain, else InsufficientStencilError naming its
     first short cell. A query on the first node is valid only without r or
-    at r = 1.
+    at r = 1. Every axis is searched in the order of pts.
     """
+    return _locate(grid, pts, r)
+
+
+def _locate(grid: TensorGrid, pts: np.ndarray, r: int | None = None,
+            order: np.ndarray | None = None) -> np.ndarray:
+    """locate_cells(grid, pts, r), taken by order (an argsort of pts[:, 0])
+    if given: axis 0 is then searched sorted, by a merge, every other axis
+    in the caller's order before the take, and a bad query raises as in
+    locate_cells(grid, pts, r), for the caller's first bad point."""
     lo = 1 if r is None else r
     cells = np.empty(pts.shape, dtype=np.intp)
     for axis, ax in enumerate(grid.axes):
-        cells[:, axis] = _sorted_search(ax.nodes, pts[:, axis])
+        if order is not None and axis == 0:     # sorted, so a merge
+            cells[:, 0] = _sorted_search(ax.nodes, pts[:, 0].take(order))
+        else:
+            i = _sorted_search(ax.nodes, pts[:, axis])
+            cells[:, axis] = i if order is None else i.take(order)
     if ((cells >= lo) & (cells <= np.array(grid.shape) - lo)).all():
         return cells
+    if order is not None:
+        return _locate(grid, pts, r).take(order, axis=0)
     for axis, ax in enumerate(grid.axes):
         i = cells[:, axis]
         if ((i > ax.n_cells) | ((i == 0) & (pts[:, axis] != ax.nodes[0]))).any():

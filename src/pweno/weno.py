@@ -20,17 +20,19 @@ raises each point's denominators (eps + I)^t once; every level reads them
 by index shifts.
 
 evaluate, behind batch.interpolate_batch, sorts a call of more than one
-chunk by the points' first coordinate before locating them (sorted queries
-locate by a merge), builds all their cells' indicator tables in one
-indicator_tables call, and runs the sorted points in contiguous chunks of
-at most smoothness._CHUNK_BYTES of value windows (at least _MIN_CHUNK
-points), so memory does not grow with npts. A chunk of 2^14 or more window
-entries writes its value block and base steps into two buffers its thread
-keeps across calls, up to _CHUNK_BYTES each (_arena), so a warm chunk maps
-and faults no new memory for them. Answers go back in the caller's order;
-a one-chunk call is neither sorted nor scattered. interpolate_nd runs one
-chunk of one point, with capture=True also returning its recursion
-triangle as arrays (NevilleState). Both read points through _as_points.
+chunk by the points' first coordinate. It locates the first axis in that
+sorted order, by a merge, and every other axis in the caller's order, where
+points that come in cell order are still in runs (grid._locate). It builds
+all their cells' indicator tables in one indicator_tables call, and runs
+the sorted points in contiguous chunks of at most smoothness._CHUNK_BYTES
+of value windows (at least _MIN_CHUNK points), so memory does not grow
+with npts. A chunk of 2^14 or more window entries writes its value block
+and base steps into two buffers its thread keeps across calls, up to
+_CHUNK_BYTES each (_arena), so a warm chunk maps and faults no new memory
+for them. Answers go back in the caller's order; a one-chunk call is
+neither sorted nor scattered. interpolate_nd runs one chunk of one point,
+with capture=True also returning its recursion triangle as arrays
+(NevilleState). Both read points through _as_points.
 
 The work around the arithmetic is a fixed, small number of array passes per
 call, which is most of a one-point call's cost: grid.locate_cells searches
@@ -53,7 +55,7 @@ from numbers import Real
 import numpy as np
 
 from . import smoothness
-from .grid import CellIndex, GridFunction, InsufficientStencilError, blocks, locate_cells
+from .grid import CellIndex, GridFunction, _locate, blocks, locate_cells
 from .smoothness import indicator_tables
 from .weights import pair_keep
 
@@ -152,19 +154,20 @@ def nonlinear_pair(linear_weights, denominators):
     point by _chunk: alpha_v = C_v / (eps + I_v)^t, omega_v = alpha_v /
     sum(alpha). Where the sum underflows to zero or is not finite, the
     linear weights are returned instead and the second return value is
-    true; the fallback costs its two passes only in calls where some sum
-    needs it. Sums over candidates, here and in evaluate, add rows left to
-    right (reduce): the order of numpy's own sum depends on the trailing
-    shape, so a point's bits would depend on the size of its batch.
+    true. Two reductions test all sums, so the fallback mask and its passes
+    cost only calls where some sum needs them. Sums over candidates, here
+    and in evaluate, add rows left to right (reduce): the order of numpy's
+    own sum depends on the trailing shape, so a point's bits would depend on
+    the size of its batch.
     """
     C = np.asarray(linear_weights, dtype=np.float64)
     # inf, NaN (0/0) or 0 sums trigger the fallback
     alpha = C / np.asarray(denominators, dtype=np.float64)
     s = reduce(np.add, alpha)
+    if s.size and 0.0 < s.min() <= s.max() < np.inf:    # NaN fails both comparisons
+        return alpha / s, np.zeros(s.shape, dtype=bool)
     bad = ~np.isfinite(s) | (s <= 0.0)
-    if bad.any():
-        return np.where(bad, C, alpha / np.where(bad, 1.0, s)), bad
-    return alpha / s, bad
+    return np.where(bad, C, alpha / np.where(bad, 1.0, s)), bad
 
 
 @np.errstate(over="ignore")     # an inf denominator triggers the fallback
@@ -237,17 +240,18 @@ def _as_points(points, ndim: int) -> np.ndarray:
     """Query points as a float64 array (npts, ndim), or WenoError.
 
     A 1-D array is read as npts points of a 1-D grid function, and an empty
-    one as no points of any dimension. Complex numbers are refused, not
-    cast: a cast would drop their imaginary parts.
+    one as no points of any dimension. Complex numbers and strings are
+    refused, not cast: a cast would drop imaginary parts or parse text.
     """
     try:
         pts = np.asarray(points)
-        if pts.dtype.kind != "c":
+        if pts.dtype.kind not in "cUS":
             pts = pts.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise WenoError("points must be numbers in an array or nested lists") from None
-    if pts.dtype.kind == "c":   # out here: a WenoError is a ValueError, which the except renames
-        raise WenoError("points must be real numbers, not complex ones")
+    if pts.dtype.kind in "cUS":     # out here: a WenoError is a ValueError the except renames
+        raise WenoError("points must be real numbers, not complex ones" if pts.dtype.kind == "c"
+                        else "points must be numbers, not strings")
     if pts.ndim == 1 and (ndim == 1 or pts.size == 0):
         pts = pts.reshape(-1, ndim)
     if pts.ndim != 2 or pts.shape[1] != ndim:
@@ -306,18 +310,15 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
 def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     """The configured method at query points pts of shape (npts, n): their
     values, cells (npts, n) and fallback flags, in the caller's order, from
-    chunks sorted by the first coordinate (see the module docstring).
+    chunks sorted by the first coordinate (see the module docstring). A bad
+    point raises as locate_cells does, for the caller's first one.
     """
     r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
     chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), _MIN_CHUNK)
     # kept: chunks in caller order, or a sort of every call, ran slower (CHANGES.md)
     order = np.argsort(pts[:, 0]) if npts > chunk else None
-    spts = pts if order is None else pts[order]
-    try:
-        cells = locate_cells(gf.grid, spts, r)
-    except InsufficientStencilError:
-        locate_cells(gf.grid, pts, r)   # raises it again, for the caller's first such point
-        raise
+    spts = pts if order is None else pts.take(order, axis=0)
+    cells = _locate(gf.grid, pts, r, order)
     tables = None if params.method == "linear" else indicator_tables(gf, cells, r)
     values, fallback, located = np.empty(npts), np.empty(npts, dtype=bool), np.empty_like(cells)
     for lo in range(0, npts, chunk):

@@ -228,6 +228,24 @@ class TestInterp:
         assert main(["interp", "--data", str(data), "--query", str(query)]) == 2
         assert capsys.readouterr().err == "error: nodes must be a 1-D array, got shape (1, 2)\n"
 
+    @pytest.mark.parametrize("field", ["query", "axes", "values"])
+    def test_numeric_strings_exit_2(self, tmp_path, capsys, field):
+        # JSON of the wrong structure: numbers given as strings are refused,
+        # not parsed
+        nodes = np.linspace(0.0, 1.0, 9)
+        data = {"axes": [nodes.tolist()] * 2, "values": np.ones((9, 9)).tolist()}
+        points = [[0.5, 0.5]]
+        if field == "query":
+            points = [["0.5", "0.5"]]
+        else:
+            data[field] = np.array(data[field]).astype(str).tolist()
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        query = write_query(tmp_path, points)
+        assert main(["interp", "--data", str(path), "--query", str(query)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not strings" in err
+
     def test_out_of_window_query_exits_2(self, tmp_path, capsys):
         data = write_linear_data(tmp_path)
         query = write_query(tmp_path, [0.01])

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pweno import smoothness, weno
 from pweno.batch import interpolate_batch
@@ -72,6 +73,23 @@ def powered(I, eps, t):
     overflow gives inf, which triggers the fallback, and does not warn."""
     with np.errstate(over="ignore"):
         return (eps + np.asarray(I, dtype=np.float64)) ** t
+
+
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def candidate_sets(draw):
+    """(C, den) of 1-3 candidates over an empty, 0-d or small set shape. With
+    a single candidate and den = 1, each sum is one drawn value itself."""
+    shape = (draw(st.integers(1, 3)),) + draw(
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    C = draw(hnp.arrays(np.float64, shape, elements=SPECIAL_FLOATS))
+    if draw(st.booleans()):
+        return C, np.ones(shape)
+    return C, draw(hnp.arrays(np.float64, shape, elements=SPECIAL_FLOATS))
 
 
 class TestNonlinearPair:
@@ -151,6 +169,25 @@ class TestNonlinearPair:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(plain(C, I)[1], [False, True, True, True, True, True, False])
+
+    @given(candidate_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_flags_are_the_sums_not_finite_and_positive(self, case):
+        # sums holding NaN, +-inf, +-0.0 and subnormals, in empty and 0-d
+        # arrays too: the two-reduction test flags exactly the sums the mask
+        # flags, and the weights are the plain where-formula's
+        C, den = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, fb = nonlinear_pair(C, den)
+        with np.errstate(all="ignore"):
+            alpha = C / den
+            s = reduce(np.add, alpha)
+            bad = ~np.isfinite(s) | (s <= 0.0)
+            want = np.where(bad, C, alpha / np.where(bad, 1.0, s))
+        assert np.shape(fb) == np.shape(s)
+        np.testing.assert_array_equal(fb, bad)
+        np.testing.assert_array_equal(w, want)
 
     @pytest.mark.parametrize("t", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("eps", [1e-6, 1e-160, 1e-200])
@@ -690,6 +727,45 @@ class TestChunks:
         with pytest.raises(InsufficientStencilError, match="cell 1 lacks"):
             interpolate_batch(gf, pts[::-1], WenoParams(r=3))
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_answers_do_not_depend_on_the_order_of_the_points(self, monkeypatch, n, method):
+        # a 200-point call of several chunks locates its first axis in sorted
+        # order and the others in the caller's: points in cell-major order,
+        # reversed, shuffled and sorted by the last axis all answer bit for
+        # bit as one interpolate_nd call per point
+        r = 3 if n == 2 else 2
+        gf = random_gf(n, 2 * r + 6, seed=40 + n)
+        rng = np.random.default_rng(n)
+        pts = full_window_points(gf, r, 200, rng)
+        params = WenoParams(r=r, method=method)
+        single = [interpolate_nd(gf, p, params) for p in pts]
+        cell_major = np.lexsort(locate_cells(gf.grid, pts, r).T[::-1])
+        tiny_chunks(monkeypatch, n, r, 37)
+        for order in (cell_major, cell_major[::-1], rng.permutation(200),
+                      np.argsort(pts[:, -1])):
+            got = interpolate_batch(gf, pts[order], params)
+            np.testing.assert_array_equal(got.values, [single[k].value for k in order])
+            np.testing.assert_array_equal(got.cells, [single[k].cell.i for k in order])
+            np.testing.assert_array_equal(got.fallback,
+                                          [single[k].linear_fallback for k in order])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stencil_error_on_axis_1_names_the_callers_first_point(self, monkeypatch, n):
+        # two points short of their window on axis 1 (cells 2 and 1 at
+        # r = 3) in a call of four chunks: the caller's first one sorts last
+        # by the first coordinate, and the error still names it
+        gf = random_gf(n, 12, seed=5)
+        mids = [0.5 * (ax.nodes[:-1] + ax.nodes[1:]) for ax in gf.grid.axes]
+        pts = np.stack([np.full(8, m[5]) for m in mids], axis=1)           # cell 6
+        pts[:, 0] = mids[0][[9, 4, 3, 5, 8, 2, 6, 7]]                       # cells 3..10
+        pts[0, 1], pts[5, 1] = mids[1][1], mids[1][0]                       # cells 2 and 1
+        tiny_chunks(monkeypatch, n, 3, 2)
+        with pytest.raises(InsufficientStencilError, match="cell 2 lacks .* on axis 1"):
+            interpolate_batch(gf, pts, WenoParams(r=3))
+        with pytest.raises(InsufficientStencilError, match="cell 1 lacks .* on axis 1"):
+            interpolate_batch(gf, pts[::-1], WenoParams(r=3))
+
     def test_memory_does_not_grow_with_the_window(self):
         # a warm 3-D grid function at r = 3: a point's 216-value window lives
         # only in its chunk, so a call grows by its outputs and its rows of
@@ -878,6 +954,35 @@ def test_complex_input_raises_named_error(call, error, match):
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             call(random_gf(1, 12, seed=9), WenoParams(r=3))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda gf, p: interpolate_batch(gf, ["0.5"], p), WenoError, "points must be numbers, not strings"),
+    (lambda gf, p: interpolate_batch(gf, np.array([b"0.5", b"0.6"]), p), WenoError,
+     "points must be numbers, not strings"),
+    (lambda gf, p: interpolate_nd(gf, "0.5", p), WenoError, "points must be numbers, not strings"),
+    (lambda gf, p: GridFunction(gf.grid, gf.values.astype(str)), GridError,
+     "grid field 'values' must hold numbers, not strings"),
+    (lambda gf, p: Grid1D(gf.grid.axes[0].nodes.astype(str)), GridError,
+     "grid field 'nodes' must hold numbers, not strings"),
+    (lambda gf, p: Grid1D(gf.grid.axes[0].nodes.astype(bytes)), GridError,
+     "grid field 'nodes' must hold numbers, not strings"),
+], ids=["batch-str", "batch-bytes", "nd-str", "grid-function-values", "grid-nodes-str",
+        "grid-nodes-bytes"])
+def test_numeric_strings_raise_named_error(call, error, match):
+    # a cast would parse "0.5" as the number 0.5
+    with pytest.raises(error, match=match):
+        call(random_gf(1, 12, seed=9), WenoParams(r=3))
+
+
+def test_bool_values_are_a_grid_function():
+    # a 0/1 field is valid: bools are cast, not refused
+    gf = random_gf(1, 12, seed=9)
+    flags = GridFunction(gf.grid, gf.values > 0)
+    want = GridFunction(gf.grid, (gf.values > 0).astype(float))
+    pts = full_window_points(gf, 3, 20, np.random.default_rng(9))
+    np.testing.assert_array_equal(interpolate_batch(flags, pts, WenoParams(r=3)).values,
+                                  interpolate_batch(want, pts, WenoParams(r=3)).values)
 
 
 @st.composite
