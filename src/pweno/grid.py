@@ -355,16 +355,17 @@ def locate_cells(grid: TensorGrid, pts: np.ndarray, r: int | None = None) -> np.
 
 
 def _locate(grid: TensorGrid, pts: np.ndarray, r: int | None = None,
-            order: np.ndarray | None = None) -> np.ndarray:
-    """locate_cells(grid, pts, r), taken by order (an argsort of pts[:, 0])
-    if given: axis 0 is then searched sorted, by a merge, every other axis
-    in the caller's order before the take, and a bad query raises as in
+            order: np.ndarray | None = None, spts: np.ndarray | None = None) -> np.ndarray:
+    """locate_cells(grid, pts, r), or given order, an argsort of pts[:, 0],
+    and spts = pts.take(order, axis=0), locate_cells(grid, spts, r): axis 0
+    is then searched in spts, by a merge, every other axis in pts, the
+    caller's order, before a take, and a bad query raises as in
     locate_cells(grid, pts, r), for the caller's first bad point."""
     lo = 1 if r is None else r
     cells = np.empty(pts.shape, dtype=np.intp)
     for axis, ax in enumerate(grid.axes):
         if order is not None and axis == 0:     # sorted, so a merge
-            cells[:, 0] = _sorted_search(ax.nodes, pts[:, 0].take(order))
+            cells[:, 0] = _sorted_search(ax.nodes, spts[:, 0])
         else:
             i = _sorted_search(ax.nodes, pts[:, axis])
             cells[:, axis] = i if order is None else i.take(order)

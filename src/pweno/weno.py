@@ -318,7 +318,7 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     # kept: chunks in caller order, or a sort of every call, ran slower (CHANGES.md)
     order = np.argsort(pts[:, 0]) if npts > chunk else None
     spts = pts if order is None else pts.take(order, axis=0)
-    cells = _locate(gf.grid, pts, r, order)
+    cells = _locate(gf.grid, pts, r, order, spts)
     tables = None if params.method == "linear" else indicator_tables(gf, cells, r)
     values, fallback, located = np.empty(npts), np.empty(npts, dtype=bool), np.empty_like(cells)
     for lo in range(0, npts, chunk):
