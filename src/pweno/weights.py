@@ -21,5 +21,10 @@ def pair_keep(windows: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
     1 - c_keep, and both lie in (0, 1) for x inside the central cell. No
     range checks.
     """
+    return _pair_keep(windows, np.asarray(x, dtype=np.float64) - windows[l + 1:], l)
+
+
+def _pair_keep(windows: np.ndarray, numerators: np.ndarray, l: int) -> np.ndarray:
+    """pair_keep from numerators x - w[k:], k <= l + 1, so levels can share them."""
     right = windows[l + 1:]
-    return (np.asarray(x, dtype=np.float64) - right) / (windows[:-l - 1] - right)
+    return numerators[len(numerators) - len(right):] / (windows[:-l - 1] - right)

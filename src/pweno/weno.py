@@ -57,7 +57,7 @@ import numpy as np
 from . import smoothness
 from .grid import CellIndex, GridFunction, _locate, blocks, locate_cells
 from .smoothness import indicator_tables
-from .weights import pair_keep
+from .weights import _pair_keep, pair_keep
 
 METHODS = ("progressive", "classical", "linear")
 # Fewest points in a chunk: below about this many, the fixed Python cost per
@@ -205,6 +205,7 @@ def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
     for axis, (w, xa) in enumerate(zip(windows, x)):
         # the window broadcast over T's later axes, so its pair weights are too
         w = w.reshape(w.shape[:1] + (1,) * (T.ndim - axis - 2) + w.shape[1:])
+        num = xa - w[1:]    # every level's numerators (weights._pair_keep)
         lead = (slice(None),) * axis
         hi, lo = lead + (slice(1, None),), lead + (slice(None, -1),)
         for l in levels:
@@ -214,7 +215,7 @@ def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
             else:
                 arena = arena[::-1]
                 T = np.subtract(T[lo], b, out=arena[0][:b.size].reshape(b.shape))
-            T *= pair_keep(w, xa, l)
+            T *= _pair_keep(w, num, l)
             T += b
     return T
 
