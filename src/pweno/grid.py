@@ -4,7 +4,8 @@ Nodes along each axis are finite, strictly increasing float64 arrays whose
 gaps do not overflow; complex numbers and strings are refused, not cast.
 Cells are the half-open intervals (x_{i-1}, x_i]; a query equal to the left
 domain endpoint belongs to cell 1. All grid objects are immutable after
-construction: each keeps a read-only copy of the arrays it was given.
+construction: each keeps a read-only copy of the arrays it was given, and a
+TensorGrid also its axes' nodes in one array, for one window gather on all axes.
 
 locate_cells, the one cell locator, costs one search per axis and one
 validity test on the whole (npts, n) cell array, whatever the number of
@@ -105,12 +106,16 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """Tensor product of per-axis grids (n >= 1 axes). The global mesh width
-    h, the largest Grid1D.h_max, and shape are cached at construction."""
+    """Tensor product of per-axis grids (n >= 1 axes). Cached at construction:
+    the global mesh width h, the largest Grid1D.h_max; shape, also as the
+    array _sizes; and all axes' nodes in one array _nodes, a's from _offsets[a]."""
 
     axes: tuple[Grid1D, ...]
     h: float = field(init=False, repr=False, compare=False)
     shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         axes = tuple(self.axes)
@@ -118,9 +123,14 @@ class TensorGrid:
             raise GridError("tensor grid needs at least one axis")
         if not all(isinstance(ax, Grid1D) for ax in axes):
             raise GridError("every axis must be a Grid1D")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "h", max(ax.h_max for ax in axes))
-        object.__setattr__(self, "shape", tuple(ax.nodes.size for ax in axes))
+        sizes = np.array([ax.nodes.size for ax in axes], dtype=np.intp)
+        nodes, offsets = np.concatenate([ax.nodes for ax in axes]), np.cumsum(sizes) - sizes
+        for a in (sizes, nodes, offsets):
+            a.setflags(write=False)
+        cached = {"axes": axes, "h": max(ax.h_max for ax in axes), "shape": tuple(sizes.tolist()),
+                  "_sizes": sizes, "_nodes": nodes, "_offsets": offsets}
+        for name, value in cached.items():
+            object.__setattr__(self, name, value)
 
     @property
     def ndim(self) -> int:
@@ -369,7 +379,7 @@ def _locate(grid: TensorGrid, pts: np.ndarray, r: int | None = None,
         else:
             i = _sorted_search(ax.nodes, pts[:, axis])
             cells[:, axis] = i if order is None else i.take(order)
-    if ((cells >= lo) & (cells <= np.array(grid.shape) - lo)).all():
+    if ((cells >= lo) & (cells <= grid._sizes - lo)).all():
         return cells
     if order is not None:
         return _locate(grid, pts, r).take(order, axis=0)

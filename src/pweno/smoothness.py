@@ -180,7 +180,7 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
     offsets = np.indices((r,) * n).reshape(n, -1).T     # offset k of each row of a cell
     first_node = cells - r
     total = np.empty(nc * per_cell)
-    with np.errstate(over="ignore"):    # inf indicators trigger the fallback
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and NaN from inf * 0: fallback
         for lo in range(0, total.size, step):
             hi = min(lo + step, total.size)
             # rows lo..hi-1 lie in cells c0..c1-1, at rows among those cells' rows

@@ -27,4 +27,4 @@ def pair_keep(windows: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
 def _pair_keep(windows: np.ndarray, numerators: np.ndarray, l: int) -> np.ndarray:
     """pair_keep from numerators x - w[k:], k <= l + 1, so levels can share them."""
     right = windows[l + 1:]
-    return numerators[len(numerators) - len(right):] / (windows[:-l - 1] - right)
+    return numerators[-len(right):] / (windows[:-l - 1] - right)

@@ -2,14 +2,14 @@
 
 One engine serves every dimension n and every entry point. _chunk runs the
 method on a chunk of c points, given only that chunk's points, cells and
-tables, and resolves eps and t itself: it gathers each point's
-2r-per-axis window (grid.blocks) into an array of shape (2r, ..., 2r, c)
-and collapses it one axis at a time. Every per-point array keeps the point
-axis last and contiguous, so each step below runs over rows of the chunk's
-points, not over one point's 2r entries. Neville's recurrence, whose steps
-are the affine pair weights, reduces each axis from 2r samples to the r
-base sub-stencil values. The linear method continues those steps to the
-full 2r-point interpolant. The classical method forms one convex
+tables, and resolves eps and t itself. It gathers each point's (2r)^n value
+block, shape (2r, ..., 2r, c), and its node windows on all axes in one take
+of the grid's concatenated nodes, shape (2r, n, c) (both grid.blocks), and
+collapses the block one axis at a time, the point axis last and contiguous,
+so each step runs over rows of the chunk's points. Neville's recurrence,
+whose steps are the affine pair weights, reduces each axis from 2r samples
+to the r base sub-stencil values. The linear method continues those steps
+to the full 2r-point interpolant. The classical method forms one convex
 combination of the r^n base values, with the optimal weights as outer
 products of per-axis weights: steps r..2r-2 run on the identity
 (_optimal_weights). The progressive method runs the Aitken-Neville
@@ -39,16 +39,17 @@ call, which is most of a one-point call's cost: grid.locate_cells searches
 once per axis, by one merge where the axis' points are sorted, and tests
 validity once; indicator_tables, under the grid function's lock, gathers
 the points' row numbers from its memo's row index, sorts only the cells it
-has yet to build, and takes the rows in one take; and nonlinear_pair, the
-one normalization, applies the linear-weight fallback only when some
-candidate sum is not finite and positive.
+has yet to build, and takes the rows in one take; a progressive level forms
+all axes' pair weights in one division; and nonlinear_pair, the one
+normalization, applies the linear-weight fallback only when some candidate
+sum is not finite and positive.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from numbers import Real
 
@@ -190,9 +191,17 @@ def _arena(size: int):
     return _local.bufs
 
 
+@lru_cache(maxsize=None)
+def _steps(ndim: int, m: int) -> tuple:
+    """Per axis a < m of T (ndim axes): a, a's window key, and T's neighbour slices hi, lo."""
+    return tuple((a, (slice(None), a) + (None,) * (ndim - a - 2),
+                  (slice(None),) * a + (slice(1, None),), (slice(None),) * a + (slice(None, -1),))
+                 for a in range(m))
+
+
 def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
-    """Linear Neville steps at the given levels along the leading axes of T
-    (..., npts), one per window (2r, npts).
+    """Linear Neville steps at the given levels along the m leading axes of T
+    (..., npts), with windows (2r, m, npts) at points x (m, npts).
 
     The step at level l merges neighbours a = T[j] and b = T[j+1] with the
     pair weights c_keep and 1 - c_keep of each point's window as
@@ -202,12 +211,9 @@ def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
     to the full interpolant. With arena (_arena) T is in arena[0], and the
     steps write into arena[1] and arena[0] in turn; else each is new.
     """
-    for axis, (w, xa) in enumerate(zip(windows, x)):
-        # the window broadcast over T's later axes, so its pair weights are too
-        w = w.reshape(w.shape[:1] + (1,) * (T.ndim - axis - 2) + w.shape[1:])
-        num = xa - w[1:]    # every level's numerators (weights._pair_keep)
-        lead = (slice(None),) * axis
-        hi, lo = lead + (slice(1, None),), lead + (slice(None, -1),)
+    for a, key, hi, lo in _steps(T.ndim, windows.shape[1]):
+        w = windows[key]
+        num = x[a] - w[1:]      # every level's numerators (weights._pair_keep)
         for l in levels:
             b = T[hi]
             if arena is None:
@@ -226,7 +232,7 @@ def _optimal_weights(windows: np.ndarray, x: np.ndarray) -> np.ndarray:
     identity they give each base value's weight in the full interpolant."""
     r, npts = windows.shape[0] // 2, windows.shape[1]
     eye = np.broadcast_to(np.eye(r)[..., None], (r, r, npts))
-    return _neville(eye, [windows], [x], range(r, 2 * r - 1))[0]
+    return _neville(eye, windows[:, None], x[None], range(r, 2 * r - 1))[0]
 
 
 def _outer(factors) -> np.ndarray:
@@ -260,46 +266,49 @@ def _as_points(points, ndim: int) -> np.ndarray:
     return pts
 
 
+@lru_cache(maxsize=None)
+def _level_nodes(n: int, r: int, l: int) -> tuple:
+    """Node j of level l + 1: j, its pair-weight picks, its children's den and level-l slices."""
+    return tuple((j, tuple((slice(None), ja, a) for a, ja in enumerate(j)),
+                  tuple(slice(ja, ja + l - r + 2, l - r + 1) for ja in j),
+                  tuple(slice(ja, ja + 2) for ja in j))
+                 for j in product(range(2 * r - 1 - l), repeat=n))
+
+
 def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: WenoParams,
            capture: bool = False):
     """The method at c points x (n, c) in cells (c, n) with their tables
     ((c,) + (r,)*n, None for the linear method): their c values (in some
     shape), fallback flags and, with capture, the first point's triangle."""
-    r, n, npts = params.r, gf.grid.ndim, x.shape[1]
-    windows = [blocks(ax.nodes, cells[:, a, None] - r, 2 * r)
-               for a, ax in enumerate(gf.grid.axes)]
+    r, n, npts, grid = params.r, gf.grid.ndim, x.shape[1], gf.grid
+    windows = blocks(grid._nodes, (cells + (grid._offsets - r)).T[..., None], 2 * r)
     arena = _arena((2 * r) ** n * npts)
-    base = _neville(blocks(gf.values, cells - r, 2 * r, arena), windows, x, range(r), arena)
+    top = _neville(blocks(gf.values, cells - r, 2 * r, arena), windows, x, range(r), arena)
     fallback = np.zeros(npts, dtype=bool)
     if tables is None:
-        return _neville(base, windows, x, range(r, 2 * r - 1)), fallback, None
-    eps, t = params.resolve_eps(gf.grid), params.resolve_t()
+        return _neville(top, windows, x, range(r, 2 * r - 1)), fallback, None
+    eps, t = params.resolve_eps(grid), params.resolve_t()
     # every node below reads these by index shifts
-    den = _denominators(tables.reshape(npts, -1).T, eps, t).reshape(base.shape)
+    den = _denominators(tables.reshape(npts, -1).T, eps, t).reshape(top.shape)
     if params.method == "classical":
-        C = _outer([_optimal_weights(windows[a], x[a]) for a in range(n)]).reshape(r ** n, npts)
+        C = _outer([_optimal_weights(windows[:, a], x[a]) for a in range(n)]).reshape(r ** n, npts)
         omega, fallback = nonlinear_pair(C, den.reshape(r ** n, npts))
-        return reduce(np.add, omega * base.reshape(r ** n, npts)), fallback, None
-    state = NevilleState(r=r, ndim=n, values={r: base[..., 0].copy()}) if capture else None
-    top = base
+        return reduce(np.add, omega * top.reshape(r ** n, npts)), fallback, None
+    state = NevilleState(r=r, ndim=n, values={r: top[..., 0].copy()}) if capture else None
     for l in range(r, 2 * r - 1):
-        shift = l - (r - 1)
-        size = 2 * r - 1 - l
-        # per axis, the pair weights (c_keep, 1 - c_keep) of every node: (2, size, npts)
-        pairs = [np.concatenate([k, 1.0 - k]).reshape(2, size, npts)
-                 for k in (pair_keep(windows[a], x[a], l) for a in range(n))]
-        nxt = np.empty((size,) * n + (npts,))
+        # the pair weights (c_keep, 1 - c_keep) of every node on every axis: (2, size, n, c)
+        keep = pair_keep(windows, x, l)
+        pairs = np.concatenate([keep, 1.0 - keep]).reshape((2,) + keep.shape)
+        nxt = np.empty(keep.shape[:1] * n + (npts,))
         if state is not None:
-            state.weights[l] = np.empty((size,) * n + (2,) * n)
+            state.weights[l] = np.empty(keep.shape[:1] * n + (2,) * n)
         # kept: one array pass per level gave the same bits, slower (CHANGES.md)
-        for j in product(range(size), repeat=n):
-            C = _outer([p[:, ja] for p, ja in zip(pairs, j)])
+        for j, picks, Dj, kids in _level_nodes(n, r, l):
+            C = _outer([pairs[p] for p in picks])
             # child j+v reuses the level-r denominator (eps + I^r_{j + shift*v})^t
-            Dj = den[tuple(slice(ja, ja + shift + 1, shift) for ja in j)]
-            omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), Dj.reshape(2 ** n, npts))
+            omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), den[Dj].reshape(2 ** n, npts))
             fallback |= bad
-            kids = top[tuple(slice(ja, ja + 2) for ja in j)]
-            nxt[j] = reduce(np.add, omega * kids.reshape(2 ** n, npts))
+            nxt[j] = reduce(np.add, omega * top[kids].reshape(2 ** n, npts))
             if state is not None:
                 state.weights[l][j] = omega[:, 0].reshape((2,) * n)   # lexicographic v
         top = nxt
