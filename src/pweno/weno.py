@@ -305,7 +305,7 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
         # kept: one array pass per level gave the same bits, slower (CHANGES.md)
         for j, picks, Dj, kids in _level_nodes(n, r, l):
             C = _outer([pairs[p] for p in picks])
-            # child j+v reuses the level-r denominator (eps + I^r_{j + shift*v})^t
+            # child j+v reuses the level-r denominator (eps + I^r_{j + (l-r+1)v})^t
             omega, bad = nonlinear_pair(C.reshape(2 ** n, npts), den[Dj].reshape(2 ** n, npts))
             fallback |= bad
             nxt[j] = reduce(np.add, omega * top[kids].reshape(2 ** n, npts))
