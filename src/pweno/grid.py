@@ -166,7 +166,7 @@ class GridFunction:
     grid: TensorGrid
     values: np.ndarray
     # r -> (row of each flat cell or -1 (prod shape,), tables (capacity, r**n),
-    # rows built); only smoothness.indicator_tables uses it, under the lock
+    # rows built); only smoothness._table_rows changes it, under the lock
     _indicator_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _memo_lock: threading.Lock = field(init=False, repr=False, compare=False,
                                        default_factory=threading.Lock)

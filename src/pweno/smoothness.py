@@ -33,8 +33,8 @@ derivative_samples call at one cached Gauss rule. Indicators are computed
 once per distinct cell at level r; higher recursion levels reuse them by
 index shifts. Each grid function remembers the tables of the cells it was
 queried at, per r, with one row index over its cells, so a later call
-gathers its points' row numbers, builds only the cells no earlier call on
-it built, and takes its rows in one take.
+gathers its points' row numbers and builds only the cells no earlier call
+on it built (_table_rows); the engine reads their rows in place.
 """
 from __future__ import annotations
 
@@ -219,26 +219,9 @@ def _cell_tables(gf: GridFunction, flat: np.ndarray, r: int, out: np.ndarray) ->
     np.multiply(_indicator_values(gf, cells, r, S, first, wts), scale[:, None], out=out)
 
 
-def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
-    """Indicator tables for many cells, each built once per grid function.
-
-    cells has shape (npts, n); the result has shape (npts,) + (r,)*n, entry
-    k the indicator of base sub-stencil k (nodes i_j - r + k_j .. i_j + k_j
-    on axis j of cell i). A cell to be built without a full 2r window raises
-    InsufficientStencilError, with locate_cells' message for the first such
-    cell by flat index, and leaves the memo as it was.
-
-    gf remembers the table of every cell it was asked for at this r, for as
-    long as it lives, so a call builds only the distinct cells no earlier
-    call built. A cell's table does not depend on the other cells of its
-    call, so the answer does not depend on what was asked before. The memo
-    at r is (rows, tables, count): rows[flat] is the cell's row in tables,
-    or -1 while it is unbuilt (8 B per grid node), and tables holds count
-    built rows (distinct cells x r^n x 8 B) in room that doubles as it
-    fills. Every call runs under gf's lock, so threads sharing gf build
-    each cell once: a warm call is one gather of row numbers and one take,
-    and a call with unbuilt cells first builds them and adds their rows.
-    """
+def _table_rows(gf: GridFunction, cells: np.ndarray, r: int) -> tuple:
+    """(gf's memo of table rows at r, at): cells[p] has row at[p], built first if new (see
+    indicator_tables). Read-only; rows in at are never written again, so read them unlocked."""
     n = gf.grid.ndim
     flat = np.ravel_multi_index(tuple(cells.T), gf.grid.shape)
     with gf._memo_lock:
@@ -258,4 +241,28 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
             rows[new] = np.arange(count, end)
             gf._indicator_memo[r] = (rows, tables, end)
             at[missing] = count + inverse.ravel()
-        return tables.take(at, axis=0).reshape((-1,) + (r,) * n)
+        return tables, at
+
+
+def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
+    """Indicator tables for many cells, each built once per grid function.
+
+    cells has shape (npts, n); the result, a copy, has shape (npts,) + (r,)*n,
+    entry k the indicator of base sub-stencil k (nodes i_j - r + k_j ..
+    i_j + k_j on axis j of cell i). A cell to be built without a full 2r
+    window raises InsufficientStencilError, with locate_cells' message for
+    the first such cell by flat index, and leaves the memo as it was.
+
+    gf remembers the table of every cell it was asked for at this r, for as
+    long as it lives, so a call builds only the distinct cells no earlier
+    call built. A cell's table does not depend on the other cells of its
+    call, so the answer does not depend on what was asked before. The memo
+    at r is (rows, tables, count): rows[flat] is the cell's row in tables,
+    or -1 while it is unbuilt (8 B per grid node), and tables holds count
+    built rows (distinct cells x r^n x 8 B) in room that doubles as it
+    fills. Every call runs under gf's lock, so threads sharing gf build
+    each cell once: a warm call is one gather of row numbers and one take,
+    and a call with unbuilt cells first builds them and adds their rows.
+    """
+    tables, at = _table_rows(gf, cells, r)
+    return tables.take(at, axis=0).reshape((-1,) + (r,) * gf.grid.ndim)

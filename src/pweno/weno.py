@@ -22,25 +22,25 @@ by index shifts.
 evaluate, behind batch.interpolate_batch, sorts a call of more than one
 chunk by the points' first coordinate. It locates the first axis in that
 sorted order, by a merge, and every other axis in the caller's order, where
-points that come in cell order are still in runs (grid._locate). It builds
-all their cells' indicator tables in one indicator_tables call, and runs
-the sorted points in contiguous chunks of at most smoothness._CHUNK_BYTES
+points that come in cell order are still in runs (grid._locate). It finds
+all their rows in the grid function's table memo in one _table_rows call,
+and runs the sorted points in contiguous chunks of at most _CHUNK_BYTES
 of value windows (at least _MIN_CHUNK points), so memory does not grow
-with npts. A chunk of 2^14 or more window entries writes its value block
-and base steps into two buffers its thread keeps across calls, up to
-_CHUNK_BYTES each (_arena), so a warm chunk maps and faults no new memory
-for them. Answers go back in the caller's order; a one-chunk call is
-neither sorted nor scattered. interpolate_nd runs one chunk of one point,
-with capture=True also returning its recursion triangle as arrays
-(NevilleState). Both read points through _as_points.
+with npts. A chunk of 2^14 or more value-block entries works in four
+buffers of at most _CHUNK_BYTES its thread keeps across calls (_arena), and
+takes its table rows into them from the memo, so a warm chunk maps and
+faults no new memory and copies no table. Answers go back in the caller's
+order; a one-chunk call is neither sorted nor scattered. interpolate_nd runs
+one chunk of one point, with capture=True also returning its recursion
+triangle as arrays (NevilleState). Both read points through _as_points.
 
 The work around the arithmetic is a fixed, small number of array passes per
 call, which is most of a one-point call's cost: grid.locate_cells searches
 once per axis, by one merge where the axis' points are sorted, and tests
-validity once; indicator_tables, under the grid function's lock, gathers
-the points' row numbers from its memo's row index, sorts only the cells it
-has yet to build, and takes the rows in one take; a progressive level forms
-all axes' pair weights in one division; and nonlinear_pair, the one
+validity once; _table_rows, under the grid function's lock, gathers the
+points' row numbers from its memo's row index and sorts only the cells it
+has yet to build; a chunk takes its rows in one take; a progressive level
+forms all axes' pair weights in one division; and nonlinear_pair, the one
 normalization, applies the linear-weight fallback only when some candidate
 sum is not finite and positive.
 """
@@ -57,14 +57,14 @@ import numpy as np
 
 from . import smoothness
 from .grid import CellIndex, GridFunction, _locate, blocks, locate_cells
-from .smoothness import indicator_tables
+from .smoothness import _table_rows
 from .weights import _pair_keep, pair_keep
 
 METHODS = ("progressive", "classical", "linear")
 # Fewest points in a chunk: below about this many, the fixed Python cost per
 # chunk of the progressive levels outweighs the cache a smaller chunk saves.
 _MIN_CHUNK = 1024
-_local = threading.local()     # this thread's buffers, for _arena only
+_local = threading.local()     # this thread's workspace, for _arena only
 
 
 class WenoError(ValueError):
@@ -172,23 +172,30 @@ def nonlinear_pair(linear_weights, denominators):
 
 
 @np.errstate(over="ignore")     # an inf denominator triggers the fallback
-def _denominators(indicators: np.ndarray, eps: float, t: float) -> np.ndarray:
-    """(eps + I)^t of indicators (r^n, c), once per point, as a new
-    C-contiguous array."""
-    den = np.add(eps, indicators, order="C")
+def _denominators(tables: np.ndarray, at: np.ndarray, eps: float, t: float, out=None):
+    """(eps + I)^t (r^n, c) of the c table rows at of tables, once per point:
+    with out (flat), the rows go to its front and the result after them."""
+    size = tables.shape[1] * at.size
+    rows = tables.take(at, axis=0, mode="clip",     # at is in range; "raise" buffers out
+                       out=None if out is None else out[:size].reshape(at.size, -1))
+    den = np.add(eps, rows.T, order="C",
+                 out=None if out is None else out[size:2 * size].reshape(rows.T.shape))
     den **= t
     return den
 
 
-def _arena(size: int):
-    """This thread's two flat float64 buffers of at least size entries (see
-    the module docstring), or None: below 2^14 entries fresh arrays cost
-    less, and a thread keeps at most smoothness._CHUNK_BYTES in each."""
-    if not 1 << 14 <= size <= smoothness._CHUNK_BYTES // 8:
+def _arena(r: int, n: int, npts: int):
+    """The thread's four flat float64 buffers, kept across calls, for a chunk of npts points:
+    value block and steps (twice), node windows, table rows and denominators. None below 2^14
+    value-block entries, where fresh arrays cost less, or past smoothness._CHUNK_BYTES of them."""
+    block = (2 * r) ** n * npts
+    if not 1 << 14 <= block <= smoothness._CHUNK_BYTES // 8:
         return None
-    if getattr(_local, "size", 0) < size:
-        _local.size, _local.bufs = size, (np.empty(size), np.empty(size))
-    return _local.bufs
+    sizes = (block, block, 2 * r * n * npts, 2 * r ** n * npts)
+    bufs = getattr(_local, "bufs", (np.empty(0),) * 4)
+    if any(b.size < s for b, s in zip(bufs, sizes)):
+        _local.bufs = bufs = tuple(b if b.size >= s else np.empty(s) for b, s in zip(bufs, sizes))
+    return bufs
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +215,7 @@ def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
     b + c_keep (a - b): one temporary, and no cancellation where the step
     extrapolates (|c_keep| >> 1), as c_keep a + (1 - c_keep) b has. Steps
     0..r-1 turn 2r samples into the r base values, steps r..2r-2 continue
-    to the full interpolant. With arena (_arena) T is in arena[0], and the
+    to the full interpolant. With arena (_arena's) T is in arena[0], and the
     steps write into arena[1] and arena[0] in turn; else each is new.
     """
     for a, key, hi, lo in _steps(T.ndim, windows.shape[1]):
@@ -219,7 +226,7 @@ def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
             if arena is None:
                 T = T[lo] - b
             else:
-                arena = arena[::-1]
+                arena = arena[1::-1]
                 T = np.subtract(T[lo], b, out=arena[0][:b.size].reshape(b.shape))
             T *= _pair_keep(w, num, l)
             T += b
@@ -277,19 +284,21 @@ def _level_nodes(n: int, r: int, l: int) -> tuple:
 
 def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: WenoParams,
            capture: bool = False):
-    """The method at c points x (n, c) in cells (c, n) with their tables
-    ((c,) + (r,)*n, None for the linear method): their c values (in some
-    shape), fallback flags and, with capture, the first point's triangle."""
+    """The method at c points x (n, c) in cells (c, n) with their table rows
+    (tables, at of length c; None for the linear method), in _arena's buffers
+    ws if any, of which blocks and _neville use the first two: their c values
+    (in some shape), fallback flags and, with capture, the first point's triangle."""
     r, n, npts, grid = params.r, gf.grid.ndim, x.shape[1], gf.grid
-    windows = blocks(grid._nodes, (cells + (grid._offsets - r)).T[..., None], 2 * r)
-    arena = _arena((2 * r) ** n * npts)
-    top = _neville(blocks(gf.values, cells - r, 2 * r, arena), windows, x, range(r), arena)
+    ws = _arena(r, n, npts)
+    starts = (cells + (grid._offsets - r)).T[..., None]
+    windows = blocks(grid._nodes, starts, 2 * r, ws and (ws[2], ws[1]))
+    top = _neville(blocks(gf.values, cells - r, 2 * r, ws), windows, x, range(r), ws)
     fallback = np.zeros(npts, dtype=bool)
     if tables is None:
         return _neville(top, windows, x, range(r, 2 * r - 1)), fallback, None
-    eps, t = params.resolve_eps(grid), params.resolve_t()
     # every node below reads these by index shifts
-    den = _denominators(tables.reshape(npts, -1).T, eps, t).reshape(top.shape)
+    den = _denominators(*tables, params.resolve_eps(grid), params.resolve_t(), ws and ws[3])
+    den = den.reshape(top.shape)
     if params.method == "classical":
         C = _outer([_optimal_weights(windows[:, a], x[a]) for a in range(n)]).reshape(r ** n, npts)
         omega, fallback = nonlinear_pair(C, den.reshape(r ** n, npts))
@@ -329,12 +338,12 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     order = np.argsort(pts[:, 0]) if npts > chunk else None
     spts = pts if order is None else pts.take(order, axis=0)
     cells = _locate(gf.grid, pts, r, order, spts)
-    tables = None if params.method == "linear" else indicator_tables(gf, cells, r)
+    tables = None if params.method == "linear" else _table_rows(gf, cells, r)
     values, fallback, located = np.empty(npts), np.empty(npts, dtype=bool), np.empty_like(cells)
     for lo in range(0, npts, chunk):
         rows = slice(lo, min(lo + chunk, npts))
         top, bad, _ = _chunk(gf, spts[rows].T, cells[rows],
-                             None if tables is None else tables[rows], params)
+                             None if tables is None else (tables[0], tables[1][rows]), params)
         dest = rows if order is None else order[rows]
         values[dest], fallback[dest], located[dest] = top.reshape(-1), bad, cells[rows]
     return values, located, fallback
@@ -348,8 +357,9 @@ def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
     """
     pts = _as_points([x_star], gf.grid.ndim)
     cells = locate_cells(gf.grid, pts, params.r)
-    tables = None if params.method == "linear" else indicator_tables(gf, cells, params.r)
+    tables = None if params.method == "linear" else _table_rows(gf, cells, params.r)
     top, bad, state = _chunk(gf, pts.T, cells, tables, params, capture)
     return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0].tolist())),
-                        None if tables is None else tables[0],
+                        None if tables is None else    # a copy: later calls read the memo row
+                        tables[0].take(tables[1], axis=0).reshape((params.r,) * gf.grid.ndim),
                         linear_fallback=bool(bad[0]), neville=state)

@@ -255,18 +255,26 @@ def classical_optimal_midpoint(r: int) -> np.ndarray:
 @contextmanager
 def override_indicators(table):
     """Within the block the engine uses table, shape (r,)*n, as the indicator
-    table of every point, in place of the computed one."""
-    real = pweno.weno.indicator_tables
+    table of every point, in place of the computed one: its table lookup
+    (pweno.weno._table_rows) answers one memo row, table, for every point.
+    A block in which the engine never called the lookup raises on exit, so
+    a renamed lookup fails here by name instead of leaving the override unused."""
+    real = pweno.weno._table_rows
+    calls = []
 
     def fixed(gf, cells, r):
-        return np.broadcast_to(np.asarray(table, dtype=np.float64),
-                               (cells.shape[0],) + (r,) * gf.grid.ndim)
+        calls.append(cells.shape[0])
+        row = np.broadcast_to(np.asarray(table, dtype=np.float64), (r,) * gf.grid.ndim)
+        return row.reshape(1, -1), np.zeros(cells.shape[0], dtype=np.intp)
 
-    pweno.weno.indicator_tables = fixed
+    pweno.weno._table_rows = fixed
     try:
         yield
     finally:
-        pweno.weno.indicator_tables = real
+        pweno.weno._table_rows = real
+    if not calls:
+        raise AssertionError("override_indicators: the engine never called "
+                             "pweno.weno._table_rows")
 
 
 def tensor_weight(per_axis) -> float:

@@ -419,10 +419,11 @@ class TestMemoLookup:
         seen = []
 
         def spy(gf, cells, r):
-            seen.append((cells, indicator_tables(gf, cells, r)))
-            return seen[-1][1]
+            tables, at = smoothness._table_rows(gf, cells, r)
+            seen.append((cells, tables[at].reshape((-1,) + (r,) * n)))
+            return tables, at
 
-        monkeypatch.setattr(weno, "indicator_tables", spy)
+        monkeypatch.setattr(weno, "_table_rows", spy)
         monkeypatch.setattr(smoothness, "_CHUNK_BYTES", 4 * 8 * (2 * r) ** n)
         monkeypatch.setattr(weno, "_MIN_CHUNK", 1)
         pweno.interpolate_batch(gf, pts, pweno.WenoParams(r=r))

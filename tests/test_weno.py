@@ -28,6 +28,7 @@ from pweno.grid import (
     InsufficientStencilError,
     OutOfDomainError,
     TensorGrid,
+    build_perturbed_grid,
     build_random_grid,
     build_uniform_grid,
     locate_cells,
@@ -871,16 +872,14 @@ class TestThreadBuffers:
             np.testing.assert_array_equal(values, want[k % 2])
 
     def test_kept_memory_is_bounded(self):
-        # a 3-D r = 4 chunk at the _MIN_CHUNK floor holds a 4 MiB value block,
-        # past the budget: a thread keeps at most two buffers of the budget
-        r = 4
-        gf = random_gf(3, 9, seed=8)
-        pts = full_window_points(gf, r, weno._MIN_CHUNK, np.random.default_rng(8))
-        params = WenoParams(r=r)
-        interpolate_batch(gf, pts, params)      # builds every cell's table
+        # a 3-D r = 4 chunk at the _MIN_CHUNK floor holds a 4 MiB value
+        # block, past the budget: it takes no workspace, and fresh arrays
+        # leave at most two budgets behind. A 2-D r = 3 chunk of 1,820
+        # points, the most under the budget, fills a fresh thread's
+        # workspace: it keeps at most four buffers of the budget
         grown = []
 
-        def call():
+        def call(gf, pts, params):
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
@@ -889,11 +888,67 @@ class TestThreadBuffers:
             finally:
                 tracemalloc.stop()
 
-        thread = threading.Thread(target=call)
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive() and grown
-        assert grown[0] <= 2 * smoothness._CHUNK_BYTES
+        cases = ((3, 9, 4, weno._MIN_CHUNK, 2), (2, 60, 3, 1820, 4))
+        for k, (n, J, r, npts, buffers) in enumerate(cases):
+            gf = random_gf(n, J, seed=8)
+            pts = full_window_points(gf, r, npts, np.random.default_rng(8))
+            params = WenoParams(r=r)
+            interpolate_batch(gf, pts, params)      # builds every cell's table
+            thread = threading.Thread(target=call, args=(gf, pts, params))
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive() and len(grown) == k + 1
+            assert grown[-1] <= buffers * smoothness._CHUNK_BYTES
+
+    @pytest.mark.parametrize("n, bound", [(2, 1 << 20), (1, 3 << 20)])
+    def test_warm_call_peak_is_bounded(self, n, bound):
+        # a warm call's traced peak above its start, allocator aside: a 2-D
+        # r = 3 call of 3,600 points (two chunks, the grid of
+        # WARM_FAULTS_SCRIPT) and a 1-D r = 3 call of 25,000 points (three
+        # chunks). Copies of the points' table rows and fresh window indexes
+        # per chunk took 1,372 and 3,767 KiB
+        if n == 2:
+            axes = tuple(build_perturbed_grid(6, seed) for seed in (1, 2))
+            gf = GridFunction.from_callable(TensorGrid(axes),
+                                            lambda x, y: np.exp(x + y) * np.cos(x - y))
+            pts = np.random.default_rng(0).uniform(-0.8, 0.8, (3600, 2))
+        else:
+            gf = random_gf(1, 1024, seed=3)
+            pts = full_window_points(gf, 3, 25_000, np.random.default_rng(3))
+        params = WenoParams(r=3)
+        interpolate_batch(gf, pts, params)      # builds every cell's table and the workspace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            interpolate_batch(gf, pts, params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+class TestIndicatorCopies:
+    @pytest.mark.parametrize("method", ["progressive", "classical"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_writing_a_returned_table_changes_no_later_answer(self, n, method):
+        # the engine reads the memo's table rows in place; the tables it
+        # hands out (InterpResult.indicators, indicator_tables) are copies,
+        # so writing into them reaches no later call on the same cells
+        r = 3 if n < 3 else 2
+        gf = random_gf(n, 2 * r + 6, seed=30 + n)
+        pts = full_window_points(gf, r, 50, np.random.default_rng(n))
+        params = WenoParams(r=r, method=method)
+        batch = interpolate_batch(gf, pts, params)
+        one = interpolate_nd(gf, pts[0], params)
+        tables = smoothness.indicator_tables(gf, batch.cells, r)
+        want = [batch.values.tobytes(), one.value, one.indicators.tobytes(), tables.tobytes()]
+        one.indicators[...] = 1e300
+        tables[...] = 0.0
+        again = interpolate_batch(gf, pts, params)
+        one = interpolate_nd(gf, pts[0], params)
+        got = [again.values.tobytes(), one.value, one.indicators.tobytes(),
+               smoothness.indicator_tables(gf, batch.cells, r).tobytes()]
+        assert got == want
 
 
 class TestNevilleExactness:
