@@ -39,10 +39,10 @@ call, which is most of a one-point call's cost: grid.locate_cells searches
 once per axis, by one merge where the axis' points are sorted, and tests
 validity once; _table_rows, under the grid function's lock, gathers the
 points' row numbers from its memo's row index and sorts only the cells it
-has yet to build; a chunk takes its rows in one take; a progressive level
-forms all axes' pair weights in one division; and nonlinear_pair, the one
-normalization, applies the linear-weight fallback only when some candidate
-sum is not finite and positive.
+has yet to build; a chunk takes its rows in one take; each Neville level
+forms all axes' pair weights in one division, 2r - 1 per chunk for any n;
+and nonlinear_pair, the one normalization, applies the linear-weight
+fallback only when some candidate sum is not finite and positive.
 """
 from __future__ import annotations
 
@@ -215,20 +215,24 @@ def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
     b + c_keep (a - b): one temporary, and no cancellation where the step
     extrapolates (|c_keep| >> 1), as c_keep a + (1 - c_keep) b has. Steps
     0..r-1 turn 2r samples into the r base values, steps r..2r-2 continue
-    to the full interpolant. With arena (_arena's) T is in arena[0], and the
-    steps write into arena[1] and arena[0] in turn; else each is new.
+    to the full interpolant. Every axis' numerators are formed once, and
+    level l's pair weights (2r-1-l, m, npts) in one division the first time
+    an axis reaches l, kept until the last axis has stepped through them (in
+    1-D, nothing outlives its step). With arena (_arena's) T is in arena[0],
+    and the steps write into arena[1] and arena[0] in turn; else each is new.
     """
-    for a, key, hi, lo in _steps(T.ndim, windows.shape[1]):
-        w = windows[key]
-        num = x[a] - w[1:]      # every level's numerators (weights._pair_keep)
+    num, kept, last = x - windows[1:], {}, windows.shape[1] - 1     # every axis' numerators
+    for a, key, hi, lo in _steps(T.ndim, last + 1):
         for l in levels:
+            if l not in kept:
+                kept[l] = _pair_keep(windows, num, l)
             b = T[hi]
             if arena is None:
                 T = T[lo] - b
             else:
                 arena = arena[1::-1]
                 T = np.subtract(T[lo], b, out=arena[0][:b.size].reshape(b.shape))
-            T *= _pair_keep(w, num, l)
+            T *= (kept.pop(l) if a == last else kept[l])[key]
             T += b
     return T
 
@@ -236,7 +240,8 @@ def _neville(T: np.ndarray, windows, x, levels, arena=None) -> np.ndarray:
 def _optimal_weights(windows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Classical optimal weights (r, npts) on one axis, windows (2r, npts), x
     (npts,): steps r..2r-2 are linear in the base values, so run on the
-    identity they give each base value's weight in the full interpolant."""
+    identity they give each base value's weight in the full interpolant. The
+    axes of a chunk's windows (2r, n, c) go in one call as npts = n c."""
     r, npts = windows.shape[0] // 2, windows.shape[1]
     eye = np.broadcast_to(np.eye(r)[..., None], (r, r, npts))
     return _neville(eye, windows[:, None], x[None], range(r, 2 * r - 1))[0]
@@ -287,7 +292,8 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
     """The method at c points x (n, c) in cells (c, n) with their table rows
     (tables, at of length c; None for the linear method), in _arena's buffers
     ws if any, of which blocks and _neville use the first two: their c values
-    (in some shape), fallback flags and, with capture, the first point's triangle."""
+    (in some shape), fallback flags and, with capture, the first point's triangle.
+    Each level divides once for all axes, the classical ones in one _optimal_weights call."""
     r, n, npts, grid = params.r, gf.grid.ndim, x.shape[1], gf.grid
     ws = _arena(r, n, npts)
     starts = (cells + (grid._offsets - r)).T[..., None]
@@ -300,7 +306,8 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
     den = _denominators(*tables, params.resolve_eps(grid), params.resolve_t(), ws and ws[3])
     den = den.reshape(top.shape)
     if params.method == "classical":
-        C = _outer([_optimal_weights(windows[:, a], x[a]) for a in range(n)]).reshape(r ** n, npts)
+        W = _optimal_weights(windows.reshape(2 * r, -1), x.reshape(-1)).reshape(r, n, npts)
+        C = _outer([W[:, a] for a in range(n)]).reshape(r ** n, npts)
         omega, fallback = nonlinear_pair(C, den.reshape(r ** n, npts))
         return reduce(np.add, omega * top.reshape(r ** n, npts)), fallback, None
     state = NevilleState(r=r, ndim=n, values={r: top[..., 0].copy()}) if capture else None

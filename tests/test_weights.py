@@ -136,6 +136,13 @@ class TestOptimalWeights:
             got = _optimal_weights(w.T, x).T
             want = [classical_optimal_weights(wp, xp) for wp, xp in zip(w, x)]
             np.testing.assert_allclose(got, want, atol=1e-14)
+            # the classical path's all-axes form: windows (2r, n, c) of n = 3
+            # axes as (2r, n c) in one call equal the per-axis calls bit for bit
+            windows = np.sort(rng.uniform(0, 1, (2 * r, 3, 4)), axis=0)
+            at = windows[r - 1] + rng.uniform(0, 1, (3, 4)) * (windows[r] - windows[r - 1])
+            np.testing.assert_array_equal(
+                _optimal_weights(windows.reshape(2 * r, -1), at.reshape(-1)).reshape(r, 3, 4),
+                np.stack([_optimal_weights(windows[:, a], at[a]) for a in range(3)], axis=1))
 
     def test_positive_inside_central_cell(self):
         rng = np.random.default_rng(31)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pweno import smoothness, weno
+from pweno import smoothness, weights, weno
 from pweno.batch import interpolate_batch
 from pweno.grid import (
     Grid1D,
@@ -926,6 +926,54 @@ class TestThreadBuffers:
             tracemalloc.stop()
         assert peak <= bound
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 3), (3, 2)])
+    def test_workspace_answers_equal_fresh_answers(self, n, r, method):
+        # a call of two or more chunks that work in the thread's buffers:
+        # 20 of its answers equal one-point calls, which run on fresh arrays,
+        # bit for bit (a kept pair weight that a later step overwrote, or a
+        # buffer read before it is written, would show here)
+        chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), weno._MIN_CHUNK)
+        assert weno._arena(r, n, chunk) is not None and weno._arena(r, n, 1) is None
+        gf = random_gf(n, 2 * r + 8, seed=50 + n)
+        rng = np.random.default_rng(50 + n)
+        pts = full_window_points(gf, r, 2 * chunk + 11, rng)
+        params = WenoParams(r=r, method=method)
+        batch = interpolate_batch(gf, pts, params)
+        for p in rng.choice(len(pts), 20, replace=False):
+            one = interpolate_nd(gf, pts[p], params)
+            assert batch.values[p] == one.value and batch.fallback[p] == one.linear_fallback
+            np.testing.assert_array_equal(batch.cells[p], one.cell.i)
+
+
+class TestDivisions:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_division_per_level_for_every_axis(self, monkeypatch, n, r, method):
+        # each of the 2r - 1 Neville levels forms its pair weights for all
+        # axes in one division, per one-point call and per chunk of a call
+        # of two chunks (the engine imports _pair_keep; pair_keep calls it)
+        calls = []
+        divide = weights._pair_keep
+
+        def spy(*args):
+            calls.append(args[2])
+            return divide(*args)
+
+        monkeypatch.setattr(weights, "_pair_keep", spy)
+        monkeypatch.setattr(weno, "_pair_keep", spy)
+        gf = random_gf(n, 2 * r + 4, seed=60 + n)
+        pts = full_window_points(gf, r, 1, np.random.default_rng(n))
+        params = WenoParams(r=r, method=method)
+        interpolate_nd(gf, pts[0], params)
+        assert sorted(calls) == list(range(2 * r - 1))
+        chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), weno._MIN_CHUNK)
+        pts = full_window_points(gf, r, chunk + 3, np.random.default_rng(n))
+        calls.clear()
+        interpolate_batch(gf, pts, params)
+        assert sorted(calls) == sorted(2 * list(range(2 * r - 1)))
+
 
 class TestIndicatorCopies:
     @pytest.mark.parametrize("method", ["progressive", "classical"])
@@ -981,6 +1029,13 @@ class TestNevilleExactness:
             assert abs(full - exact) <= 1e-13 * (1.0 + abs(exact))
             np.testing.assert_allclose(_optimal_weights(w[p][:, None], x[p:p + 1])[:, 0],
                                        classical_optimal_weights(w[p], x[p]), atol=1e-14)
+        # the classical path's all-axes form: the 60 windows as 2 axes of 30
+        # points, reshaped to (2r, 60) in one call, equal the per-axis calls
+        worst = np.argsort(reach)[-60:]
+        windows, at = w[worst].T.reshape(2 * r, 2, 30), x[worst].reshape(2, 30)
+        np.testing.assert_array_equal(
+            _optimal_weights(windows.reshape(2 * r, -1), at.reshape(-1)).reshape(r, 2, 30),
+            np.stack([_optimal_weights(windows[:, a], at[a]) for a in range(2)], axis=1))
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 1), ()])
