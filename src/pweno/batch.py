@@ -28,4 +28,4 @@ def interpolate_batch(gf: GridFunction, points, params: WenoParams) -> BatchResu
 
     points has shape (npts, n), or (npts,) for 1-D data; npts may be 0.
     """
-    return BatchResult(*evaluate(gf, _as_points(points, gf.grid.ndim), params))
+    return BatchResult(*evaluate(gf, _as_points(points, gf.grid.ndim), params)[:3])

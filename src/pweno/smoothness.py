@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction, _check_window, blocks
+from .grid import GridError, GridFunction, _check_count, _check_window, blocks
 
 
 # Byte budget of one chunk of the (c, (m*q)^n) tensor in _indicator_values:
@@ -206,13 +206,9 @@ def _indicator_values(gf: GridFunction, cells: np.ndarray, r: int, S: np.ndarray
 
 def _cell_tables(gf: GridFunction, flat: np.ndarray, r: int, out: np.ndarray) -> None:
     """Write the indicator tables (len(flat), r**n) of the cells with flat
-    indices flat (distinct, sorted) into out: one _sub_stencil_samples and
-    one _indicator_values call. A cell without a full 2r window raises
-    InsufficientStencilError before out is touched, naming the first such
-    cell of the first axis that has one."""
+    indices flat (distinct, sorted, with full 2r windows: callers check) into
+    out: one _sub_stencil_samples and one _indicator_values call."""
     cells = np.stack(np.unravel_index(flat, gf.grid.shape), axis=1)
-    for axis in range(gf.grid.ndim):
-        _check_window(gf.grid, axis, cells[:, axis], r)
     pts, gw = gauss_rule(r + 1)
     wts = _square_weights(r + 1, tuple(gw), gf.grid.ndim)
     S, first, scale = _sub_stencil_samples(gf, cells, r, pts)
@@ -247,11 +243,12 @@ def _table_rows(gf: GridFunction, cells: np.ndarray, r: int) -> tuple:
 def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     """Indicator tables for many cells, each built once per grid function.
 
-    cells has shape (npts, n); the result, a copy, has shape (npts,) + (r,)*n,
-    entry k the indicator of base sub-stencil k (nodes i_j - r + k_j ..
-    i_j + k_j on axis j of cell i). A cell to be built without a full 2r
-    window raises InsufficientStencilError, with locate_cells' message for
-    the first such cell by flat index, and leaves the memo as it was.
+    cells is an integer array (npts, n), or empty; the result, a copy, has
+    shape (npts,) + (r,)*n, entry k the indicator of base sub-stencil k
+    (nodes i_j - r + k_j .. i_j + k_j on axis j of cell i). Bad r or cells
+    raise GridError, and a cell without a full 2r window raises
+    InsufficientStencilError as locate_cells does, for the first such cell
+    by flat index; either leaves the memo untouched.
 
     gf remembers the table of every cell it was asked for at this r, for as
     long as it lives, so a call builds only the distinct cells no earlier
@@ -264,5 +261,16 @@ def indicator_tables(gf: GridFunction, cells: np.ndarray, r: int) -> np.ndarray:
     each cell once: a warm call is one gather of row numbers and one take,
     and a call with unbuilt cells first builds them and adds their rows.
     """
+    _check_count(r, "r", 1)
+    try:
+        cells = np.asarray(cells)
+        cells = cells.reshape(0, gf.grid.ndim).astype(np.intp) if cells.size == 0 else cells
+    except ValueError:      # ragged nested lists
+        cells = np.array(None)
+    if cells.dtype.kind not in "iu" or cells.shape[1:] != (gf.grid.ndim,):
+        raise GridError(f"cells must be an integer array of shape (npts, {gf.grid.ndim})")
+    if not ((cells >= r) & (cells <= gf.grid._sizes - r)).all():
+        for axis, i in enumerate(cells[np.lexsort(cells.T[::-1])].T):     # flat-index order
+            _check_window(gf.grid, axis, i, r)
     tables, at = _table_rows(gf, cells, r)
     return tables.take(at, axis=0).reshape((-1,) + (r,) * gf.grid.ndim)

@@ -12,19 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def pair_keep(windows: np.ndarray, x: np.ndarray, l: int) -> np.ndarray:
+def _pair_keep(windows: np.ndarray, numerators: np.ndarray, l: int) -> np.ndarray:
     """Left pair weights c_keep = (x - w[j+l+1]) / (w[j] - w[j+l+1]) of level l.
 
-    windows has shape (m, ...), m = 2r, the window axis first, and x shape
-    (...). A level-l array has m - l entries, so there are m - l - 1 pairs,
-    j = 0..m-l-2; the result has shape (m - l - 1, ...). The right weight is
-    1 - c_keep, and both lie in (0, 1) for x inside the central cell. No
-    range checks.
+    windows has shape (m, ...), m = 2r, the window axis first, and numerators
+    are x - w[k:], k <= l + 1, x of shape (...), so levels can share them. A
+    level-l array has m - l entries, so the m - l - 1 pairs j = 0..m-l-2 give
+    shape (m - l - 1, ...). The right weight is 1 - c_keep; both lie in (0, 1)
+    for x inside the central cell. No range checks.
     """
-    return _pair_keep(windows, np.asarray(x, dtype=np.float64) - windows[l + 1:], l)
-
-
-def _pair_keep(windows: np.ndarray, numerators: np.ndarray, l: int) -> np.ndarray:
-    """pair_keep from numerators x - w[k:], k <= l + 1, so levels can share them."""
     right = windows[l + 1:]
     return numerators[-len(right):] / (windows[:-l - 1] - right)

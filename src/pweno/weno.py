@@ -19,30 +19,25 @@ remains. Indicators are computed once per cell, at level r, and _chunk
 raises each point's denominators (eps + I)^t once; every level reads them
 by index shifts.
 
-evaluate, behind batch.interpolate_batch, sorts a call of more than one
-chunk by the points' first coordinate. It locates the first axis in that
-sorted order, by a merge, and every other axis in the caller's order, where
-points that come in cell order are still in runs (grid._locate). It finds
-all their rows in the grid function's table memo in one _table_rows call,
-and runs the sorted points in contiguous chunks of at most _CHUNK_BYTES
-of value windows (at least _MIN_CHUNK points), so memory does not grow
-with npts. A chunk of 2^14 or more value-block entries works in four
-buffers of at most _CHUNK_BYTES its thread keeps across calls (_arena), and
-takes its table rows into them from the memo, so a warm chunk maps and
-faults no new memory and copies no table. Answers go back in the caller's
-order; a one-chunk call is neither sorted nor scattered. interpolate_nd runs
-one chunk of one point, with capture=True also returning its recursion
-triangle as arrays (NevilleState). Both read points through _as_points.
+evaluate is the one way in, for many points (batch.interpolate_batch) or one
+(interpolate_nd, whose capture=True also returns the recursion triangle,
+NevilleState), read through _as_points. A call of more than one chunk is
+sorted by the first coordinate, run in contiguous chunks of at most
+_CHUNK_BYTES of value windows (at least _MIN_CHUNK points), so memory does not
+grow with npts, and scattered back to the caller's order; a one-chunk call
+hands out its chunk's own arrays. A chunk of 2^14 or more value-block entries
+works in four buffers its thread keeps across calls (_arena), none handed out,
+so a warm chunk maps and faults no new memory.
 
 The work around the arithmetic is a fixed, small number of array passes per
-call, which is most of a one-point call's cost: grid.locate_cells searches
-once per axis, by one merge where the axis' points are sorted, and tests
-validity once; _table_rows, under the grid function's lock, gathers the
-points' row numbers from its memo's row index and sorts only the cells it
-has yet to build; a chunk takes its rows in one take; each Neville level
-forms all axes' pair weights in one division, 2r - 1 per chunk for any n;
-and nonlinear_pair, the one normalization, applies the linear-weight
-fallback only when some candidate sum is not finite and positive.
+call, which is most of a one-point call's cost: grid._locate searches once per
+axis, by a merge on the sorted first axis, and tests validity once; one
+_table_rows call, under the grid function's lock, gathers all the points' row
+numbers from its memo's row index and sorts only the cells it has yet to
+build; a chunk takes its rows in one take, into its buffers when it has them;
+each Neville level forms all axes' pair weights in one division, 2r - 1 per
+chunk for any n; and nonlinear_pair, the one normalization, applies the
+linear-weight fallback only when some candidate sum is not finite and positive.
 """
 from __future__ import annotations
 
@@ -56,9 +51,9 @@ from numbers import Real
 import numpy as np
 
 from . import smoothness
-from .grid import CellIndex, GridFunction, _locate, blocks, locate_cells
+from .grid import CellIndex, GridFunction, _locate, blocks
 from .smoothness import _table_rows
-from .weights import _pair_keep, pair_keep
+from .weights import _pair_keep
 
 METHODS = ("progressive", "classical", "linear")
 # Fewest points in a chunk: below about this many, the fixed Python cost per
@@ -157,7 +152,7 @@ def nonlinear_pair(linear_weights, denominators):
     linear weights are returned instead and the second return value is
     true. Two reductions test all sums, so the fallback mask and its passes
     cost only calls where some sum needs them. Sums over candidates, here
-    and in evaluate, add rows left to right (reduce): the order of numpy's
+    and in _chunk, add rows left to right (reduce): the order of numpy's
     own sum depends on the trailing shape, so a point's bits would depend on
     the size of its batch.
     """
@@ -313,7 +308,7 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
     state = NevilleState(r=r, ndim=n, values={r: top[..., 0].copy()}) if capture else None
     for l in range(r, 2 * r - 1):
         # the pair weights (c_keep, 1 - c_keep) of every node on every axis: (2, size, n, c)
-        keep = pair_keep(windows, x, l)
+        keep = _pair_keep(windows, x - windows[l + 1:], l)
         pairs = np.concatenate([keep, 1.0 - keep]).reshape((2,) + keep.shape)
         nxt = np.empty(keep.shape[:1] * n + (npts,))
         if state is not None:
@@ -333,12 +328,11 @@ def _chunk(gf: GridFunction, x: np.ndarray, cells: np.ndarray, tables, params: W
     return top, fallback, state
 
 
-def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
-    """The configured method at query points pts of shape (npts, n): their
-    values, cells (npts, n) and fallback flags, in the caller's order, from
-    chunks sorted by the first coordinate (see the module docstring). A bad
-    point raises as locate_cells does, for the caller's first one.
-    """
+def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams, capture: bool = False):
+    """The configured method at points pts (npts, n): values, cells (npts, n) and fallback
+    flags in the caller's order, the memo rows (tables, at; at in chunk order, None for the
+    linear method) and, with capture, a one-chunk call's first triangle, else None. A bad
+    point raises as locate_cells does, for the caller's first one."""
     r, n, npts = params.r, gf.grid.ndim, pts.shape[0]
     chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), _MIN_CHUNK)
     # kept: chunks in caller order, or a sort of every call, ran slower (CHANGES.md)
@@ -346,27 +340,28 @@ def evaluate(gf: GridFunction, pts: np.ndarray, params: WenoParams):
     spts = pts if order is None else pts.take(order, axis=0)
     cells = _locate(gf.grid, pts, r, order, spts)
     tables = None if params.method == "linear" else _table_rows(gf, cells, r)
+    if order is None:
+        top, bad, state = _chunk(gf, pts.T, cells, tables, params, capture)
+        return top.reshape(-1), cells, bad, tables, state
     values, fallback, located = np.empty(npts), np.empty(npts, dtype=bool), np.empty_like(cells)
     for lo in range(0, npts, chunk):
-        rows = slice(lo, min(lo + chunk, npts))
+        rows = slice(lo, lo + chunk)
         top, bad, _ = _chunk(gf, spts[rows].T, cells[rows],
                              None if tables is None else (tables[0], tables[1][rows]), params)
-        dest = rows if order is None else order[rows]
+        dest = order[rows]
         values[dest], fallback[dest], located[dest] = top.reshape(-1), bad, cells[rows]
-    return values, located, fallback
+    return values, located, fallback, tables, None
 
 
 def interpolate_nd(gf: GridFunction, x_star, params: WenoParams,
                    capture: bool = False) -> InterpResult:
     """Interpolate gf at one point x_star (n coordinates; a number when n = 1)
-    with the configured method. capture records the recursion triangle of the
-    progressive method in InterpResult.neville.
+    with the configured method: evaluate on one point. capture records the
+    recursion triangle of the progressive method in InterpResult.neville.
     """
-    pts = _as_points([x_star], gf.grid.ndim)
-    cells = locate_cells(gf.grid, pts, params.r)
-    tables = None if params.method == "linear" else _table_rows(gf, cells, params.r)
-    top, bad, state = _chunk(gf, pts.T, cells, tables, params, capture)
-    return InterpResult(float(top.reshape(-1)[0]), CellIndex(tuple(cells[0].tolist())),
+    values, cells, bad, tables, state = evaluate(gf, _as_points([x_star], gf.grid.ndim),
+                                                 params, capture)
+    return InterpResult(float(values[0]), CellIndex(tuple(cells[0].tolist())),
                         None if tables is None else    # a copy: later calls read the memo row
                         tables[0].take(tables[1], axis=0).reshape((params.r,) * gf.grid.ndim),
                         linear_fallback=bool(bad[0]), neville=state)

@@ -6,7 +6,9 @@ It prints the number of arrays hashed and one digest over them: the values,
 cells and fallback flags of interpolate_batch, and the value, indicators,
 flag and every NevilleState array of interpolate_nd, for n = 1..3,
 r = 2..4, every method, data as drawn and scaled by 1e300 (where the
-fallback fires), in calls of one point, a few points and several chunks.
+fallback fires), in calls of one point, a few points, the largest one-chunk
+call (which works in the thread's buffers wherever weno._arena gives them)
+and several chunks.
 Run it on two trees and compare the lines. Digests compare only on one
 machine: the indicator kernel's matmuls may round differently with another
 BLAS build or CPU. pweno is imported from the src/ directory next to this
@@ -49,7 +51,7 @@ def cases():
                 gf = GridFunction(grid, values * scale)
                 for method in weno.METHODS:
                     params = WenoParams(r=r, method=method)
-                    for npts in (1, 7, pts.shape[0]):
+                    for npts in (1, 7, chunk, pts.shape[0]):
                         yield gf, pts[:npts], params
 
 

@@ -17,6 +17,7 @@ import pweno
 from pweno import smoothness, weno
 from pweno.grid import (
     Grid1D,
+    GridError,
     GridFunction,
     InsufficientStencilError,
     TensorGrid,
@@ -361,6 +362,44 @@ class TestIndicatorTables:
         else:
             np.testing.assert_array_equal(indicator_tables(gf, cells, r),
                                           indicator_tables(fresh(gf), cells, r))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.booleans(),
+           st.sampled_from(["range", "float", "bool", "shape", "ragged", "text", "object",
+                            "empty", "uint"]),
+           st.sampled_from([1, 2, 3, 0, -1, 2.0, np.float64(2.0), True, False, "2", None, 2.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_cells_and_r_raise_grid_errors(self, seed, n, warm, kind, r):
+        # cells out of range, not integers, misshapen, ragged or text, and r
+        # not an integer >= 1, on a fresh or warm grid function: every call
+        # raises a GridError subclass or (empty cells, valid r) returns empty
+        # tables, and leaves the memo at r as it was
+        rng = np.random.default_rng(seed)
+        J = 6 + int(rng.integers(1, 5))
+        gf = random_gf(rng, n, J)
+        valid_r = isinstance(r, int) and not isinstance(r, bool) and r >= 1
+        if warm:
+            r0 = r if valid_r else 2
+            indicator_tables(gf, rng.integers(r0, J - r0 + 2, size=(4, n)), r0)
+        good = rng.integers(3, J - 1, size=(3, n))
+        bad = good.copy()
+        bad[rng.integers(3), rng.integers(n)] = rng.choice([-1, 0, J + 1, 10**6, 2**40])
+        cells = {"range": bad, "float": good.astype(float), "bool": good > 4,
+                 "shape": [good[:, 0], np.c_[good, good[:, :1]], good[..., None], good[0, 0]][
+                     rng.integers(4)],
+                 "ragged": [list(good[0]), list(good[1, :-1]) + [[1]]],
+                 "text": good.astype(str), "object": [[None] * n],
+                 "empty": [[], np.empty((0, n)), np.zeros((0, n), dtype=int)][rng.integers(3)],
+                 "uint": np.where(bad < 0, 2**63, bad).astype(np.uint64)}[kind]
+        before = gf._indicator_memo.get(r)
+        rows = None if before is None else before[0].copy()
+        if kind == "empty" and valid_r:
+            assert indicator_tables(gf, cells, r).shape == (0,) + (r,) * n
+        else:
+            with pytest.raises(GridError):
+                indicator_tables(gf, cells, r)
+        assert gf._indicator_memo.get(r) is before
+        if before is not None:
+            np.testing.assert_array_equal(before[0], rows)
 
     def test_peak_memory_is_a_few_chunks(self):
         # 3,600 cells at r = 3: the 32,400 sub-stencil blocks alone take 4.1 MB,

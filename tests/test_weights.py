@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pweno.weights import pair_keep
+from pweno.weights import _pair_keep
 from pweno.weno import _optimal_weights
 from reference import (
     classical_optimal_midpoint,
@@ -15,8 +15,9 @@ from reference import (
 
 
 def pair(w, l, j, x):
-    """(c_keep, c_shift) of pair j at level l, from pair_keep."""
-    c_keep = float(pair_keep(np.asarray(w, dtype=np.float64), x, l)[j])
+    """(c_keep, c_shift) of pair j at level l, from _pair_keep."""
+    w = np.asarray(w, dtype=np.float64)
+    c_keep = float(_pair_keep(w, x - w[l + 1:], l)[j])
     return c_keep, 1.0 - c_keep
 
 
@@ -87,7 +88,7 @@ class TestPairWeights:
             w = np.sort(rng.uniform(0, 1, (m, 4, 3)), axis=0)
             x = w[r - 1] + rng.uniform(0, 1, (4, 3)) * (w[r] - w[r - 1])
             for l in range(m - 1):
-                got = pair_keep(w, x, l)
+                got = _pair_keep(w, x - w[l + 1:], l)
                 assert got.shape == (m - l - 1, 4, 3)
                 for j in range(m - l - 1):
                     want = (x - w[j + l + 1]) / (w[j] - w[j + l + 1])

@@ -34,7 +34,7 @@ from pweno.grid import (
     locate_cells,
 )
 from pweno.testfunctions import get_test_function
-from pweno.weights import pair_keep
+from pweno.weights import _pair_keep
 from pweno.weno import WenoError, WenoParams, _optimal_weights, interpolate_nd, nonlinear_pair
 from reference import (
     classical_optimal_weights,
@@ -276,7 +276,7 @@ class TestLinearLimit:
             state = interpolate_nd(gf, x, params, capture=True).neville
         window = gf.grid.axes[0].nodes[4:10]
         for l, w in state.weights.items():
-            c_keep = pair_keep(window, x, l)
+            c_keep = _pair_keep(window, x - window[l + 1:], l)
             np.testing.assert_allclose(w[:, 0], c_keep, rtol=0, atol=1e-14)
             np.testing.assert_allclose(w[:, 1], 1.0 - c_keep, rtol=0, atol=1e-14)
 
@@ -409,7 +409,7 @@ class TestDiagnostics:
             window = g.nodes[i - r : i + r]
             dev = 0.0
             for l, w in res.neville.weights.items():
-                c_keep = pair_keep(window, x, l)
+                c_keep = _pair_keep(window, x - window[l + 1:], l)
                 dev = max(dev, np.abs(w[:, 0] - c_keep).max(),
                           np.abs(w[:, 1] - (1.0 - c_keep)).max())
             devs.append(dev)
@@ -929,21 +929,42 @@ class TestThreadBuffers:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("n, r", [(1, 3), (2, 3), (3, 2)])
     def test_workspace_answers_equal_fresh_answers(self, n, r, method):
-        # a call of two or more chunks that work in the thread's buffers:
-        # 20 of its answers equal one-point calls, which run on fresh arrays,
-        # bit for bit (a kept pair weight that a later step overwrote, or a
-        # buffer read before it is written, would show here)
+        # a call of two or more chunks and the largest one-chunk call, both
+        # working in the thread's buffers: 20 answers of each equal one-point
+        # calls, which run on fresh arrays, bit for bit (a kept pair weight
+        # that a later step overwrote, or a buffer read before it is
+        # written, would show here)
         chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), weno._MIN_CHUNK)
         assert weno._arena(r, n, chunk) is not None and weno._arena(r, n, 1) is None
         gf = random_gf(n, 2 * r + 8, seed=50 + n)
         rng = np.random.default_rng(50 + n)
-        pts = full_window_points(gf, r, 2 * chunk + 11, rng)
         params = WenoParams(r=r, method=method)
-        batch = interpolate_batch(gf, pts, params)
-        for p in rng.choice(len(pts), 20, replace=False):
-            one = interpolate_nd(gf, pts[p], params)
-            assert batch.values[p] == one.value and batch.fallback[p] == one.linear_fallback
-            np.testing.assert_array_equal(batch.cells[p], one.cell.i)
+        for npts in (2 * chunk + 11, chunk):
+            pts = full_window_points(gf, r, npts, rng)
+            batch = interpolate_batch(gf, pts, params)
+            for p in rng.choice(len(pts), 20, replace=False):
+                one = interpolate_nd(gf, pts[p], params)
+                assert batch.values[p] == one.value and batch.fallback[p] == one.linear_fallback
+                np.testing.assert_array_equal(batch.cells[p], one.cell.i)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n, r, npts", [(1, 3, 4000), (2, 3, 1000), (3, 2, 600)])
+    def test_one_chunk_answers_share_no_workspace_memory(self, n, r, npts, method):
+        # a one-chunk call hands out its chunk's own arrays, not copies: none
+        # of them may lie in the thread's buffers, which the next call writes
+        chunk = max(smoothness._CHUNK_BYTES // (8 * (2 * r) ** n), weno._MIN_CHUNK)
+        assert npts <= chunk and weno._arena(r, n, npts) is not None
+        gf = random_gf(n, 2 * r + 8, seed=70 + n)
+        rng = np.random.default_rng(70 + n)
+        params = WenoParams(r=r, method=method)
+        res = interpolate_batch(gf, full_window_points(gf, r, npts, rng), params)
+        answers = (res.values, res.cells, res.fallback)
+        kept = [a.copy() for a in answers]
+        for a in answers:
+            assert not any(np.shares_memory(a, buf) for buf in weno._local.bufs)
+        interpolate_batch(gf, full_window_points(gf, r, npts, rng), params)
+        for a, want in zip(answers, kept):
+            np.testing.assert_array_equal(a, want)
 
 
 class TestDivisions:
@@ -953,7 +974,7 @@ class TestDivisions:
     def test_one_division_per_level_for_every_axis(self, monkeypatch, n, r, method):
         # each of the 2r - 1 Neville levels forms its pair weights for all
         # axes in one division, per one-point call and per chunk of a call
-        # of two chunks (the engine imports _pair_keep; pair_keep calls it)
+        # of two chunks (the engine imports _pair_keep)
         calls = []
         divide = weights._pair_keep
 
@@ -961,7 +982,6 @@ class TestDivisions:
             calls.append(args[2])
             return divide(*args)
 
-        monkeypatch.setattr(weights, "_pair_keep", spy)
         monkeypatch.setattr(weno, "_pair_keep", spy)
         gf = random_gf(n, 2 * r + 4, seed=60 + n)
         pts = full_window_points(gf, r, 1, np.random.default_rng(n))
